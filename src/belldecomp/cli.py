@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import os
 import sys
+from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, EntangledPair, pair_determinant, validate_pair
+from .channel import Channel, EntangledPair, bell_state, pair_determinant, validate_pair
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
@@ -27,10 +27,10 @@ from .decomposition import (
     decomposition_matrix,
     inverse_sub_matrix,
     sub_matrix,
-    tensor_product,
 )
 from .oracle import ORACLE_CAP, cross_check, joint_state, rearrange_for_measurement
 from .protocol import (
+    OutcomeRecord,
     TeleportationInstance,
     channel_criterion,
     collapsed_state,
@@ -39,7 +39,7 @@ from .protocol import (
     recover,
     sample_outcome,
 )
-from .tensor import DEFAULT_EQ_TOL, StateVector
+from .tensor import DEFAULT_EQ_TOL, StateVector, tensor_product
 
 __all__ = ["main"]
 
@@ -63,7 +63,7 @@ def _complex_from_json(value, what: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise CliInputError(f"{what}: expected [re, im], got {value!r}")
     return complex(value[0], value[1])
@@ -78,7 +78,7 @@ def load_state(path: Path) -> StateVector:
     if not isinstance(doc, dict) or "num_qubits" not in doc or "amps" not in doc:
         raise CliInputError(f"{path}: expected an object with num_qubits and amps")
     n = doc["num_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise CliInputError(f"{path}: num_qubits must be a positive integer, got {n!r}")
     amps = doc["amps"]
     if not isinstance(amps, list) or len(amps) != 1 << n:
@@ -219,8 +219,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     except NotInvertibleError as exc:
         print(f"inverse: not available ({exc})")
     else:
-        from functools import reduce
-
         print("inverse decomposition matrix:")
         print(_fmt_matrix(reduce(tensor_product, inverses)))
     print()
@@ -261,6 +259,22 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reconstruction_diff(inst: TeleportationInstance, records: list[OutcomeRecord]) -> float:
+    """Max |sum over outcomes of Bell bras (x) collapsed states - rearranged joint state|.
+
+    The sum is taken one pair at a time: contracting pair i's result axis
+    against the four Bell states turns it into that pair's two measured qubits.
+    """
+    n = inst.num_qubits
+    rs = rearrange_for_measurement(joint_state(inst), inst)
+    t = np.array([r.collapsed.amps * math.sqrt(r.probability) for r in records])
+    t = t.reshape((4,) * n + (1 << n,))
+    bells = np.array([bell_state(a) for a in (1, 2, 3, 4)])
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(bells, t, axes=(0, axis)), 0, axis)
+    return float(np.abs(t.reshape(-1) - rs.amps).max())
+
+
 def _verify_instance(
     label: str, inst: TeleportationInstance, tol_eq: float, tol_inv: float
 ) -> tuple[list[str], bool]:
@@ -285,16 +299,7 @@ def _verify_instance(
         f"(|sum(p) - 1| = {abs(total - 1.0):.3e}, tol {tol_eq:.3e})"
     )
 
-    n = inst.num_qubits
-    rs = rearrange_for_measurement(joint_state(inst), inst)
-    from .channel import bell_state
-    from functools import reduce
-
-    rebuilt = np.zeros(1 << (3 * n), dtype=np.complex128)
-    for out in itertools.product((1, 2, 3, 4), repeat=n):
-        bell = reduce(np.kron, [bell_state(a) for a in out])
-        rebuilt += np.kron(bell, collapsed_state(inst, out).amps)
-    diff = float(np.abs(rebuilt - rs.amps).max())
+    diff = _reconstruction_diff(inst, records)
     passed = diff <= tol_eq
     ok &= passed
     lines.append(
@@ -504,7 +509,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`); further output is unwanted.
+        # Point stdout at devnull so the flush at interpreter exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,22 +5,16 @@ Bell basis, the receiver's register collapses to a tensor product of 2x2
 blocks applied to the input amplitudes, one block per channel pair, selected
 by that pair's measurement result.  This module builds those blocks.
 
-For a pair with coefficients (Y1, Y2, Y3, Y4) over |00>,|01>,|10>,|11> and
-Bell result r with transform row (t1, t2, t3, t4), the block under the
-"receiver holds the first qubit of each pair" convention is
+Every block is the pair's coefficient matrix times a Pauli operator:
 
-    [[t1*Y1 + t2*Y2,  t3*Y1 + t4*Y2],
-     [t1*Y3 + t2*Y4,  t3*Y3 + t4*Y4]]
+    B_r = M @ sigma_r,    sigma = (I, Z, X, -iY) for r = 1..4
 
-which for the four results spells out to
-
-    r=1: [[Y1, Y2], [Y3, Y4]]      r=2: [[Y1, -Y2], [Y3, -Y4]]
-    r=3: [[Y2, Y1], [Y4, Y3]]      r=4: [[Y2, -Y1], [Y4, -Y3]]
-
-Under the "receiver holds the second qubit" convention the same expression
-holds with Y2 and Y3 exchanged.  For a maximally entangled pair
-(1/sqrt2, 0, 0, 1/sqrt2) the four blocks reduce to the identity, Z, X and
--iY, each divided by sqrt(2), so recovery is a scaled Pauli.
+where M = [[Y1, Y2], [Y3, Y4]] holds the pair's coefficients over
+|00>,|01>,|10>,|11> with the receiver's qubit indexing rows, so M is
+transposed under the "receiver holds the second qubit" convention.  Every
+block of a pair is therefore invertible exactly when M is, with inverse
+sigma_r^-1 @ M^-1.  For a maximally entangled pair M = I/sqrt(2) and the
+blocks reduce to scaled Paulis, so recovery is a scaled Pauli.
 
 The common (1/sqrt2)^N prefactor of the collapsed state is NOT folded into
 these blocks; the protocol module applies it once.
@@ -35,19 +29,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channel import Channel, EntangledPair, bell_transform, pair_determinant
+from .channel import Channel, EntangledPair, pair_determinant
 from .tensor import tensor_product
 
 __all__ = [
     "DEFAULT_INVERTIBILITY_TOL",
+    "SIGMA",
     "PairingConvention",
     "NotInvertibleError",
     "BellOutcome",
     "validate_outcome",
     "sub_matrix",
+    "pair_blocks",
     "DecompositionMatrix",
     "decomposition_matrix",
     "inverse_sub_matrix",
+    "inverse_pair_blocks",
     "is_proportional_to_unitary",
 ]
 
@@ -57,7 +54,15 @@ DEFAULT_INVERTIBILITY_TOL = 1e-9
 # Bell measurement result for each pair, entries in 1..4.
 BellOutcome = tuple[int, ...]
 
-_T = bell_transform()
+# sigma_r for Bell result r at index r - 1: I, Z, X and -iY.
+SIGMA = np.array(
+    [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, -1], [1, 0]]],
+    dtype=np.complex128,
+)
+# Each sigma_r is real and orthogonal, so its inverse is its transpose: I, Z, X and iY.
+_SIGMA_INV = np.ascontiguousarray(SIGMA.transpose(0, 2, 1))
+SIGMA.flags.writeable = False
+_SIGMA_INV.flags.writeable = False
 
 
 class PairingConvention(Enum):
@@ -90,24 +95,29 @@ def validate_outcome(outcome: Sequence[int], num_pairs: int) -> BellOutcome:
     return out
 
 
-def sub_matrix(pair: EntangledPair, bell_index: int, convention: PairingConvention) -> np.ndarray:
-    """2x2 block the receiver's qubit picks up for one pair and one Bell result."""
+def _check_bell_index(bell_index: int) -> None:
     if bell_index not in (1, 2, 3, 4):
         raise ValueError(f"Bell result must be in 1..4, got {bell_index}")
-    row = _T[bell_index - 1]
-    y = pair.y
+
+
+def _coefficient_matrix(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
+    """M: the pair's coefficients as a 2x2 matrix, the receiver's qubit indexing rows."""
     if convention is PairingConvention.BOB_HOLDS_FIRST:
-        a, b, c, d = y[0], y[1], y[2], y[3]
-    elif convention is PairingConvention.BOB_HOLDS_SECOND:
-        a, b, c, d = y[0], y[2], y[1], y[3]
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return np.array(
-        [
-            [row[0] * a + row[1] * b, row[2] * a + row[3] * b],
-            [row[0] * c + row[1] * d, row[2] * c + row[3] * d],
-        ]
-    )
+        return pair.amplitude_matrix()
+    if convention is PairingConvention.BOB_HOLDS_SECOND:
+        return pair.amplitude_matrix().T
+    raise ValueError(f"unknown convention {convention!r}")
+
+
+def sub_matrix(pair: EntangledPair, bell_index: int, convention: PairingConvention) -> np.ndarray:
+    """2x2 block the receiver's qubit picks up for one pair and one Bell result."""
+    _check_bell_index(bell_index)
+    return _coefficient_matrix(pair, convention) @ SIGMA[bell_index - 1]
+
+
+def pair_blocks(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
+    """The pair's four blocks stacked as (4, 2, 2); entry r - 1 is ``sub_matrix(pair, r, ...)``."""
+    return _coefficient_matrix(pair, convention) @ SIGMA
 
 
 @dataclass(frozen=True)
@@ -132,27 +142,43 @@ def decomposition_matrix(
     return DecompositionMatrix(reduce(tensor_product, blocks), out, convention)
 
 
+def _inverse_coefficient_matrix(
+    pair: EntangledPair, convention: PairingConvention, tol: float
+) -> np.ndarray:
+    """M^-1 by the 2x2 adjugate, after the pair determinant check."""
+    if abs(pair_determinant(pair)) <= tol:
+        raise NotInvertibleError(
+            f"pair determinant magnitude {abs(pair_determinant(pair)):.3e} is <= {tol:.3e}; "
+            "no recovery transform exists"
+        )
+    (a, b), (c, d) = _coefficient_matrix(pair, convention)
+    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
 def inverse_sub_matrix(
     pair: EntangledPair,
     bell_index: int,
     convention: PairingConvention,
     tol: float = DEFAULT_INVERTIBILITY_TOL,
 ) -> np.ndarray:
-    """Exact 2x2 inverse of ``sub_matrix``.
+    """Exact 2x2 inverse of ``sub_matrix``: sigma_r^-1 @ M^-1.
 
     Every block of a pair has determinant +-(Y1*Y4 - Y2*Y3), so a single
     near-zero check on the pair determinant covers all four results.  The
     inverse is generally NOT unitary; it is a scaled unitary exactly when
     the pair is maximally entangled.
     """
-    if abs(pair_determinant(pair)) <= tol:
-        raise NotInvertibleError(
-            f"pair determinant magnitude {abs(pair_determinant(pair)):.3e} is <= {tol:.3e}; "
-            "no recovery transform exists"
-        )
-    m = sub_matrix(pair, bell_index, convention)
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    _check_bell_index(bell_index)
+    return _SIGMA_INV[bell_index - 1] @ _inverse_coefficient_matrix(pair, convention, tol)
+
+
+def inverse_pair_blocks(
+    pair: EntangledPair,
+    convention: PairingConvention,
+    tol: float = DEFAULT_INVERTIBILITY_TOL,
+) -> np.ndarray:
+    """The inverses of the pair's four blocks stacked as (4, 2, 2), M inverted once."""
+    return _SIGMA_INV @ _inverse_coefficient_matrix(pair, convention, tol)
 
 
 def is_proportional_to_unitary(

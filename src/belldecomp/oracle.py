@@ -2,9 +2,10 @@
 
 The oracle holds the full joint state of all 3N qubits, reorders it into
 measurement order, and projects the measured qubits onto explicit Bell bras.
-It deliberately never touches the decomposition module's block tables: the
-only shared ingredients are the raw Bell basis vectors and the generic
-tensor utilities, so agreement between the two routes is meaningful.
+It deliberately never touches the decomposition module's blocks: the only
+shared ingredients are the raw Bell basis vectors and the generic tensor
+utilities, so agreement between the two routes is meaningful.  Only
+``cross_check`` reads the block predictions, to compare them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .channel import bell_state
 from .decomposition import PairingConvention, validate_outcome
-from .protocol import TeleportationInstance, collapsed_state
+from .protocol import TeleportationInstance, _outcome_table
 from .tensor import DEFAULT_EQ_TOL, QubitPermutation, StateVector, permute_qubits
 
 __all__ = [
@@ -111,23 +112,24 @@ class CrossCheckReport:
 
 
 def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
-    """Compare every outcome's block prediction against the projected residual."""
+    """Compare every outcome's block prediction against the projected residual.
+
+    The predictions come from the outcome table, built only after the joint
+    state has been rearranged and dropped so the two do not add to the peak.
+    """
     n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
+    predicted, _ = _outcome_table(inst)
     max_diff = -1.0
     worst: tuple[int, ...] = ()
-    count = 0
-    for out in itertools.product((1, 2, 3, 4), repeat=n):
-        residual = bell_project(rs, out)
-        predicted = collapsed_state(inst, out)
-        diff = float(np.abs(residual.amps - predicted.amps).max())
+    for out, row in zip(itertools.product((1, 2, 3, 4), repeat=n), predicted):
+        diff = float(np.abs(bell_project(rs, out).amps - row).max())
         if diff > max_diff:
             max_diff, worst = diff, out
-        count += 1
     return CrossCheckReport(
         num_qubits=n,
         convention=inst.convention,
-        num_outcomes=count,
+        num_outcomes=len(predicted),
         max_abs_diff=max_diff,
         worst_outcome=worst,
         tolerance=tol,

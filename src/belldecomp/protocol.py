@@ -22,8 +22,10 @@ from .decomposition import (
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
+    inverse_pair_blocks,
     inverse_sub_matrix,
     is_proportional_to_unitary,
+    pair_blocks,
     sub_matrix,
     validate_outcome,
 )
@@ -207,6 +209,124 @@ class OutcomeRecord:
     invertible: bool
 
 
+# The table passes work on chunks of outcomes that share the results of all
+# but the last _CHUNK_PAIRS pairs, and always the first pair's result.  No
+# buffer or temporary then holds more than 4^_CHUNK_PAIRS outcomes' states,
+# 1 MB at N = 8, next to the 268 MB table.
+_CHUNK_PAIRS = 4
+
+
+def _chunk_rows(n: int) -> int:
+    return 4 ** min(n - 1, _CHUNK_PAIRS)
+
+
+def _chunks(stacks: list[np.ndarray]):
+    """Each chunk's rows in the outcome table and the block stacks that act on it.
+
+    The leading pairs, whose results the chunk fixes, contribute only the
+    block for that result.
+    """
+    n = len(stacks)
+    size = _chunk_rows(n)
+    lead = n - min(n - 1, _CHUNK_PAIRS)
+    for c, prefix in enumerate(itertools.product(range(4), repeat=lead)):
+        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[lead:]
+        yield slice(c * size, (c + 1) * size), blocks
+
+
+def _row_order(flat: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """A chunk buffer in interleaved layout, viewed in row order.
+
+    After every pair's ``_contract_pair`` a chunk's axes are (r1, q1, ...,
+    rN, qN): pair i's result and the receiver's qubit i.  As rows of the
+    table they are (r1, ..., rN, q1, ..., qN).
+    """
+    n = len(blocks)
+    shape = tuple(d for b in blocks for d in (len(b), 2))
+    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return flat[: math.prod(shape)].reshape(shape).transpose(order)
+
+
+def _contract_pair(
+    blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Apply k stacked 2x2 blocks to the leading qubit axis of ``t``.
+
+    ``t`` is (2, m), the same amplitudes for every block, or (k, 2, m), one
+    slice per block.  The result is a view of ``out`` shaped (m, k, 2): the
+    new (result, qubit) axes move to the back, so the next pair's qubit
+    leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
+    products keep this off BLAS: threaded OpenBLAS calls of these shapes were
+    measured to stall for about 8 ms each on a 2-CPU machine.
+    """
+    k, m = len(blocks), t.shape[-1]
+    t = t.reshape(-1, 2, m)
+    product = buf[: 2 * k * m].reshape(k, 2, m)
+    np.multiply(blocks[:, :, :1], t[:, :1], out=product)
+    product += blocks[:, :, 1:] * t[:, 1:]
+    moved = out[: 2 * k * m].reshape(m, k, 2)
+    moved[...] = product.transpose(2, 0, 1)
+    return moved
+
+
+def _outcome_table(
+    inst: TeleportationInstance, cap: int = ENUMERATION_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized collapsed states of all 4^N outcomes and their Born probabilities.
+
+    Row k of the (4^N, 2^N) table is ``collapsed_state`` of the k-th outcome in
+    lexicographic order.  Each chunk of rows is contracted one pair at a time
+    in two chunk-sized buffers and then copied into place.
+    """
+    n = inst.num_qubits
+    if n > cap:
+        raise ValueError(f"refusing to enumerate 4**{n} outcomes (cap is {cap} qubits)")
+    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
+    x = inst.input_state.amps * math.sqrt(0.5) ** n
+    table = np.empty((4**n, 1 << n), dtype=np.complex128)
+    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
+    for rows, blocks in _chunks(stacks):
+        t = x
+        for b in blocks:
+            t = _contract_pair(b, t.reshape(2, -1), buf, out)
+        ordered = _row_order(out, blocks)
+        table[rows].reshape(ordered.shape)[...] = ordered
+    flat = table.view(np.float64)
+    return table, np.einsum("ij,ij->i", flat, flat)
+
+
+def _recovery_fidelities(
+    inst: TeleportationInstance, collapsed: np.ndarray, tol: float
+) -> np.ndarray:
+    """Fidelity to the input of every row of ``collapsed`` after its inverse blocks.
+
+    The rows are the 4^N outcomes' collapsed states in lexicographic order.
+    Chunk by chunk, the rows are copied into interleaved layout, where each
+    pair's four inverse blocks act on their own results' slices, and back.
+    Rows of zero norm give NaN.
+    """
+    n = inst.num_qubits
+    stacks = [inverse_pair_blocks(p, inst.convention, tol) for p in inst.channel.pairs]
+    x = inst.input_state.amps.conj()
+    overlap = np.empty(4**n, dtype=np.complex128)
+    norm2 = np.empty(4**n)
+    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
+    for rows, blocks in _chunks(stacks):
+        ordered = _row_order(out, blocks)
+        ordered[...] = collapsed[rows].reshape(ordered.shape)
+        t = out
+        for b in blocks:
+            t = _contract_pair(b, t.reshape(len(b), 2, -1), buf, out)
+        recovered = buf.reshape(-1, 1 << n)
+        recovered.reshape(ordered.shape)[...] = ordered
+        np.einsum("ij,j->i", recovered, x, out=overlap[rows])
+        flat = recovered.view(np.float64)
+        np.einsum("ij,ij->i", flat, flat, out=norm2[rows])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fid = np.abs(overlap) ** 2 / (norm2 * inst.input_state.squared_norm())
+    return np.minimum(fid, 1.0)
+
+
 def enumerate_outcomes(
     inst: TeleportationInstance,
     cap: int = ENUMERATION_CAP,
@@ -216,24 +336,28 @@ def enumerate_outcomes(
     """All 4^N outcome records in lexicographic order of the per-pair results.
 
     For a normalized instance the probabilities sum to 1 up to float error.
+    Every record's ``collapsed`` amplitudes are a row view into one read-only
+    (4^N, 2^N) table of normalized states, 16 * 8^N bytes in all.
     """
     n = inst.num_qubits
-    if n > cap:
-        raise ValueError(f"refusing to enumerate 4**{n} outcomes (cap is {cap} qubits)")
+    table, probs = _outcome_table(inst, cap)
+    norms = np.sqrt(probs)
+    zero = norms == 0.0
+    norms[zero] = 1.0
+    table /= norms[:, None]
+    table[zero] = 0.0
+    table.flags.writeable = False
     invertible = not _non_invertible_pairs(inst.channel, tol)
-    records = []
-    for out in itertools.product((1, 2, 3, 4), repeat=n):
-        c = collapsed_state(inst, out)
-        p = c.squared_norm()
-        if p > 0.0:
-            collapsed = StateVector(n, c.amps / math.sqrt(p))
-        else:
-            collapsed = StateVector(n, np.zeros(1 << n, dtype=np.complex128))
-        fid = None
-        if compute_recovery and invertible and p > 0.0:
-            _, fid = recover(collapsed, inst, out, tol)
-        records.append(OutcomeRecord(out, p, collapsed, fid, invertible))
-    return records
+    if compute_recovery and invertible:
+        fids = _recovery_fidelities(inst, table, tol).tolist()
+    else:
+        fids = [None] * len(table)
+    return [
+        OutcomeRecord(out, p, StateVector(n, amps), fid if p > 0.0 else None, invertible)
+        for out, p, amps, fid in zip(
+            itertools.product((1, 2, 3, 4), repeat=n), probs.tolist(), table, fids
+        )
+    ]
 
 
 def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
@@ -242,11 +366,11 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     Zero-probability outcomes are never produced: the draw inverts the
     cumulative distribution, and empty intervals cannot contain it.
     """
-    records = enumerate_outcomes(inst, compute_recovery=False)
-    cum = np.cumsum([r.probability for r in records])
+    _, probs = _outcome_table(inst)
+    cum = np.cumsum(probs)
     u = np.random.default_rng(seed).random() * cum[-1]
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(records) - 1)
-    return records[idx].outcome
+    idx = min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
+    return tuple(int(d) + 1 for d in np.unravel_index(idx, (4,) * inst.num_qubits))
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

@@ -33,7 +33,7 @@ NORMALIZATION_TOL = 1e-9
 
 
 def _finite(arr: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(arr.view(np.float64))))
+    return bool(np.isfinite(arr).all())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,10 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +79,30 @@ class TestParsing:
         state = write_state(tmp_path / "s.json", 1, [1 + 0j, 0j])
         channel = write_channel(tmp_path / "c.json", [MES, MES])
         assert cli.main(["teleport", "--state", state, "--channel", channel]) == 2
+
+    def test_boolean_amplitude_in_state_file(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"num_qubits": 1, "amps": [[True, False], [0.0, 0.0]]}))
+        channel = write_channel(tmp_path / "c.json", [MES])
+        code = cli.main(["teleport", "--state", str(state), "--channel", channel])
+        assert code == 2
+        assert "expected [re, im]" in capsys.readouterr().err
+
+    def test_boolean_amplitude_in_channel_file(self, tmp_path, capsys):
+        channel = tmp_path / "c.json"
+        channel.write_text(
+            json.dumps({"pairs": [[[True, False], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]})
+        )
+        code = cli.main(["decompose", "--channel", str(channel), "--outcome", "1"])
+        assert code == 2
+        assert "expected [re, im]" in capsys.readouterr().err
+
+    def test_boolean_qubit_count(self, tmp_path, capsys):
+        state = tmp_path / "s.json"
+        state.write_text(json.dumps({"num_qubits": True, "amps": [[1.0, 0.0], [0.0, 0.0]]}))
+        channel = write_channel(tmp_path / "c.json", [MES])
+        assert cli.main(["teleport", "--state", str(state), "--channel", channel]) == 2
+        assert "num_qubits must be a positive integer" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -217,3 +245,30 @@ class TestSweep:
         assert len(lines) == 1 + 3 * 16
         # theta = 0 makes pair 2 a product pair: min |det| over pairs is 0
         assert float(lines[1].split(",")[3]) == 0.0
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_exits_quietly(self, tmp_path):
+        """`belldecomp sweep ... | head -1`: exit 0, nothing on stderr."""
+        rng = np.random.default_rng(91)
+        amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        state = write_state(tmp_path / "s.json", 5, list(amps / np.linalg.norm(amps)))
+        channel = write_channel(tmp_path / "c.json", [MES] * 5)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        # 9 * 4^5 rows, far more than the pipe holds, so writes continue after the close
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "belldecomp.cli", "sweep", "--state", state,
+             "--channel", channel],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert first == b"theta,outcome,probability,abs_det_min,min_singular_value\n"
+        assert err == b""

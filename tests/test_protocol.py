@@ -21,11 +21,13 @@ from belldecomp import (
     outcome_probability,
     random_channel,
     random_instance,
+    random_pair,
     random_state,
     recover,
     sample_outcome,
     tensor_product,
 )
+from belldecomp.protocol import _outcome_table
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -284,3 +286,111 @@ class TestStructuralInvariants:
                 np.testing.assert_allclose(
                     collapsed_state(inst, out).amps, expected, atol=1e-14
                 )
+
+
+def pair_with_abs_det(rng, abs_det: float) -> EntangledPair:
+    """Unit-norm pair U diag(c, s) V with c*s = ``abs_det``, so |det| = ``abs_det``."""
+    def unitary():
+        q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    t = 0.5 * np.arcsin(2.0 * abs_det)
+    return EntangledPair((unitary() @ np.diag([np.cos(t), np.sin(t)]) @ unitary()).reshape(-1))
+
+
+def hard_instance(n: int, conv, seed: int) -> TeleportationInstance:
+    """Random instance whose first pair is maximally entangled and last has |det| = 1e-6.
+
+    With one pair, only the second holds.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = list(random_channel(n, rng).pairs)
+    pairs[0] = mes_pair()
+    pairs[-1] = pair_with_abs_det(rng, 1e-6)
+    return TeleportationInstance(random_state(n, rng), Channel(tuple(pairs)), conv)
+
+
+def degenerate_instance(n: int, conv, seed: int) -> TeleportationInstance:
+    """First pair a product pair and first input qubit |1>: half the outcomes have p = 0."""
+    rng = np.random.default_rng(seed)
+    rest = random_state(n - 1, rng).amps if n > 1 else np.ones(1)
+    state = StateVector(n, np.kron([0, 1], rest))
+    pairs = [EntangledPair(np.array([1, 0, 0, 0], dtype=complex))]
+    pairs += [random_pair(rng) for _ in range(n - 1)]
+    return TeleportationInstance(state, Channel(tuple(pairs)), conv)
+
+
+class TestOutcomeTable:
+    """The one-pass table and the records built on it against the per-outcome path."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_per_outcome_collapse_and_recovery(self, n, conv):
+        inst = hard_instance(n, conv, seed=70 + n)
+        table, probs = _outcome_table(inst)
+        records = enumerate_outcomes(inst)
+        assert table.shape == (4**n, 2**n) and probs.shape == (4**n,)
+        outcomes = list(itertools.product((1, 2, 3, 4), repeat=n))
+        assert [r.outcome for r in records] == outcomes
+        for k, out in enumerate(outcomes):
+            c = collapsed_state(inst, out)
+            np.testing.assert_allclose(table[k], c.amps, rtol=0, atol=1e-15)
+            assert probs[k] == pytest.approx(c.squared_norm(), abs=1e-15)
+            assert records[k].probability == pytest.approx(c.squared_norm(), abs=1e-15)
+            np.testing.assert_allclose(
+                records[k].collapsed.amps, c.normalized().amps, rtol=0, atol=1e-12
+            )
+            _, fid = recover(c, inst, out)
+            assert records[k].recovered_fidelity == pytest.approx(fid, abs=1e-12)
+            assert records[k].invertible
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_zero_probability_rows(self, n, conv):
+        inst = degenerate_instance(n, conv, seed=80 + n)
+        table, probs = _outcome_table(inst)
+        records = enumerate_outcomes(inst)
+        outcomes = itertools.product((1, 2, 3, 4), repeat=n)
+        zero = 0
+        for k, (out, rec) in enumerate(zip(outcomes, records)):
+            c = collapsed_state(inst, out)
+            np.testing.assert_allclose(table[k], c.amps, rtol=0, atol=1e-15)
+            assert probs[k] == pytest.approx(c.squared_norm(), abs=1e-15)
+            assert rec.recovered_fidelity is None and not rec.invertible
+            if out[0] in (1, 2):
+                zero += 1
+                assert rec.probability == 0.0
+                assert np.array_equal(rec.collapsed.amps, np.zeros(2**n))
+        assert zero == 2 * 4 ** (n - 1)
+        assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
+
+    def test_records_are_read_only_views_of_one_table(self):
+        inst = hard_instance(3, BHS, seed=90)
+        records = enumerate_outcomes(inst)
+        bases = {id(r.collapsed.amps.base) for r in records}
+        assert len(bases) == 1
+        table = records[0].collapsed.amps.base
+        assert table.shape == (64, 8) and not table.flags.writeable
+        for k, r in enumerate(records):
+            assert np.shares_memory(r.collapsed.amps, table[k])
+            assert not r.collapsed.amps.flags.writeable
+        with pytest.raises(ValueError):
+            records[5].collapsed.amps[0] = 1.0
+
+    def test_seed_to_outcome_mapping_matches_per_outcome_probabilities(self):
+        """The draw inverts the same cumulative distribution the per-outcome path gives."""
+        for n, conv in [(1, BHF), (2, BHS), (3, BHF)]:
+            inst = hard_instance(n, conv, seed=91 + n)
+            outcomes = list(itertools.product((1, 2, 3, 4), repeat=n))
+            cum = np.cumsum([collapsed_state(inst, out).squared_norm() for out in outcomes])
+            for seed in range(50):
+                u = np.random.default_rng(seed).random() * cum[-1]
+                expected = outcomes[int(np.searchsorted(cum, u, side="right"))]
+                assert sample_outcome(inst, seed) == expected
+
+    def test_sampling_respects_the_cap(self):
+        n = 9
+        state = StateVector(n, np.eye(1 << n)[0])
+        ch = Channel(tuple(mes_pair() for _ in range(n)))
+        with pytest.raises(ValueError):
+            sample_outcome(TeleportationInstance(state, ch, BHS), 0)
