@@ -42,7 +42,6 @@ from .protocol import (
     channel_criterion,
     collapsed_state,
     enumerate_outcomes,
-    outcome_probability,
     random_channel,
     random_instance,
     random_pair,
@@ -52,12 +51,9 @@ from .protocol import (
 )
 from .tensor import (
     DEFAULT_EQ_TOL,
-    NORMALIZATION_TOL,
-    QubitPermutation,
     StateVector,
     fidelity,
     permute_qubits,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -71,13 +67,11 @@ __all__ = [
     "DEFAULT_INVERTIBILITY_TOL",
     "ENUMERATION_CAP",
     "EntangledPair",
-    "NORMALIZATION_TOL",
     "NotInvertibleError",
     "ORACLE_CAP",
     "OutcomeRecord",
     "PairDiagnostics",
     "PairingConvention",
-    "QubitPermutation",
     "StateVector",
     "TeleportationInstance",
     "bell_project",
@@ -93,7 +87,6 @@ __all__ = [
     "inverse_sub_matrix",
     "is_proportional_to_unitary",
     "joint_state",
-    "outcome_probability",
     "pair_determinant",
     "permute_qubits",
     "random_channel",
@@ -104,7 +97,6 @@ __all__ = [
     "recover",
     "sample_outcome",
     "sub_matrix",
-    "tensor_product",
     "validate_outcome",
     "validate_pair",
     "__version__",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, EntangledPair, bell_state, pair_determinant, validate_pair
+from .channel import NORM_WARN_TOL, Channel, EntangledPair, pair_determinant, validate_pair
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
@@ -28,9 +28,8 @@ from .decomposition import (
     inverse_sub_matrix,
     sub_matrix,
 )
-from .oracle import ORACLE_CAP, cross_check, joint_state, rearrange_for_measurement
+from .oracle import ORACLE_CAP, _reconstruction_diff, cross_check
 from .protocol import (
-    OutcomeRecord,
     TeleportationInstance,
     channel_criterion,
     collapsed_state,
@@ -39,7 +38,7 @@ from .protocol import (
     recover,
     sample_outcome,
 )
-from .tensor import DEFAULT_EQ_TOL, StateVector, tensor_product
+from .tensor import DEFAULT_EQ_TOL, StateVector
 
 __all__ = ["main"]
 
@@ -94,7 +93,7 @@ def load_state(path: Path) -> StateVector:
     norm = state.norm()
     if norm == 0.0:
         raise CliInputError(f"{path}: state must not be the zero vector")
-    if abs(norm - 1.0) > 1e-6:
+    if abs(norm - 1.0) > NORM_WARN_TOL:
         print(
             f"warning: state in {path} renormalized (norm was {norm:.6g})",
             file=sys.stderr,
@@ -220,7 +219,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(f"inverse: not available ({exc})")
     else:
         print("inverse decomposition matrix:")
-        print(_fmt_matrix(reduce(tensor_product, inverses)))
+        print(_fmt_matrix(reduce(np.kron, inverses)))
     print()
     print("full block table:")
     for i, pair in enumerate(channel.pairs, start=1):
@@ -257,22 +256,6 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     print(_fmt_amps(recovered))
     print(f"fidelity to input: {fid:.15f}")
     return EXIT_OK
-
-
-def _reconstruction_diff(inst: TeleportationInstance, records: list[OutcomeRecord]) -> float:
-    """Max |sum over outcomes of Bell bras (x) collapsed states - rearranged joint state|.
-
-    The sum is taken one pair at a time: contracting pair i's result axis
-    against the four Bell states turns it into that pair's two measured qubits.
-    """
-    n = inst.num_qubits
-    rs = rearrange_for_measurement(joint_state(inst), inst)
-    t = np.array([r.collapsed.amps * math.sqrt(r.probability) for r in records])
-    t = t.reshape((4,) * n + (1 << n,))
-    bells = np.array([bell_state(a) for a in (1, 2, 3, 4)])
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(bells, t, axes=(0, axis)), 0, axis)
-    return float(np.abs(t.reshape(-1) - rs.amps).max())
 
 
 def _verify_instance(

@@ -30,7 +30,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import Channel, EntangledPair, pair_determinant
-from .tensor import tensor_product
 
 __all__ = [
     "DEFAULT_INVERTIBILITY_TOL",
@@ -139,7 +138,7 @@ def decomposition_matrix(
     """
     out = validate_outcome(outcome, len(channel.pairs))
     blocks = [sub_matrix(p, a, convention) for p, a in zip(channel.pairs, out)]
-    return DecompositionMatrix(reduce(tensor_product, blocks), out, convention)
+    return DecompositionMatrix(reduce(np.kron, blocks), out, convention)
 
 
 def _inverse_coefficient_matrix(

@@ -5,12 +5,14 @@ measurement order, and projects the measured qubits onto explicit Bell bras.
 It deliberately never touches the decomposition module's blocks: the only
 shared ingredients are the raw Bell basis vectors and the generic tensor
 utilities, so agreement between the two routes is meaningful.  Only
-``cross_check`` reads the block predictions, to compare them.
+``cross_check`` and the reconstruction check read the block predictions, to
+compare them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,8 +20,8 @@ import numpy as np
 
 from .channel import bell_state
 from .decomposition import PairingConvention, validate_outcome
-from .protocol import TeleportationInstance, _outcome_table
-from .tensor import DEFAULT_EQ_TOL, QubitPermutation, StateVector, permute_qubits
+from .protocol import OutcomeRecord, TeleportationInstance, _outcome_table
+from .tensor import DEFAULT_EQ_TOL, StateVector, permute_qubits
 
 __all__ = [
     "ORACLE_CAP",
@@ -48,7 +50,7 @@ def joint_state(inst: TeleportationInstance) -> StateVector:
     return StateVector(3 * n, amps)
 
 
-def _measurement_order(inst: TeleportationInstance) -> QubitPermutation:
+def _measurement_order(inst: TeleportationInstance) -> tuple[int, ...]:
     """Interleave (input_i, sender's half of pair i), receiver halves last.
 
     In the joint state, pair i occupies positions N+2i-1 and N+2i.  The
@@ -66,7 +68,7 @@ def _measurement_order(inst: TeleportationInstance) -> QubitPermutation:
             sender_half, receiver_half = first, second
         order += [i, sender_half]
         receiver.append(receiver_half)
-    return QubitPermutation(tuple(order + receiver))
+    return tuple(order + receiver)
 
 
 def rearrange_for_measurement(js: StateVector, inst: TeleportationInstance) -> StateVector:
@@ -135,3 +137,19 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
         tolerance=tol,
         passed=max_diff <= tol,
     )
+
+
+def _reconstruction_diff(inst: TeleportationInstance, records: list[OutcomeRecord]) -> float:
+    """Max |sum over outcomes of Bell bras (x) collapsed states - rearranged joint state|.
+
+    The sum is taken one pair at a time: contracting pair i's result axis
+    against the four Bell states turns it into that pair's two measured qubits.
+    """
+    n = inst.num_qubits
+    rs = rearrange_for_measurement(joint_state(inst), inst)
+    t = np.array([r.collapsed.amps * math.sqrt(r.probability) for r in records])
+    t = t.reshape((4,) * n + (1 << n,))
+    bells = np.array([bell_state(a) for a in (1, 2, 3, 4)])
+    for axis in range(n):
+        t = np.moveaxis(np.tensordot(bells, t, axes=(0, axis)), 0, axis)
+    return float(np.abs(t.reshape(-1) - rs.amps).max())

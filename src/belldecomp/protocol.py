@@ -16,17 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, EntangledPair, concurrence, pair_determinant
+from .channel import NORM_WARN_TOL, Channel, EntangledPair, concurrence, pair_determinant
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
     inverse_pair_blocks,
-    inverse_sub_matrix,
     is_proportional_to_unitary,
     pair_blocks,
-    sub_matrix,
     validate_outcome,
 )
 from .tensor import StateVector, fidelity
@@ -38,7 +36,6 @@ __all__ = [
     "PairDiagnostics",
     "ChannelReport",
     "collapsed_state",
-    "outcome_probability",
     "recover",
     "channel_criterion",
     "enumerate_outcomes",
@@ -55,7 +52,11 @@ ENUMERATION_CAP = 8
 
 @dataclass(frozen=True)
 class TeleportationInstance:
-    """An input state plus the channel it is sent through."""
+    """An input state plus the channel it is sent through.
+
+    The input state and every pair must have unit norm to within
+    ``NORM_WARN_TOL``; the Born probabilities only sum to 1 when they do.
+    """
 
     input_state: StateVector
     channel: Channel
@@ -67,22 +68,40 @@ class TeleportationInstance:
                 f"input has {self.input_state.num_qubits} qubit(s) but channel has "
                 f"{len(self.channel.pairs)} pair(s)"
             )
+        # sqrt of a vdot: half the cost of np.linalg.norm on vectors this small.
+        norm = math.sqrt(self.input_state.squared_norm())
+        if abs(norm - 1.0) > NORM_WARN_TOL:
+            raise ValueError(f"input state must have unit norm, got {norm:.6g}")
+        for i, p in enumerate(self.channel.pairs, start=1):
+            norm = math.sqrt(p.squared_norm())
+            if abs(norm - 1.0) > NORM_WARN_TOL:
+                raise ValueError(f"channel pair {i} must have unit norm, got {norm:.6g}")
 
     @property
     def num_qubits(self) -> int:
         return self.input_state.num_qubits
 
 
-def _apply_pair_blocks(blocks: Sequence[np.ndarray], amps: np.ndarray, n: int) -> np.ndarray:
-    """Apply the tensor product of 2x2 blocks to a 2^n vector.
+def _contract_pair(
+    blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Apply k stacked 2x2 blocks to the leading qubit axis of ``t``.
 
-    Block i acts on qubit i (most significant bit first), without ever
-    materializing the full 2^n x 2^n matrix.
+    ``t`` is (2, m), the same amplitudes for every block, or (k, 2, m), one
+    slice per block.  The result is a view of ``out`` shaped (m, k, 2): the
+    new (result, qubit) axes move to the back, so the next pair's qubit
+    leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
+    products keep this off BLAS: threaded OpenBLAS calls of these shapes were
+    measured to stall for about 8 ms each on a 2-CPU machine.
     """
-    t = amps.reshape((2,) * n)
-    for axis, block in enumerate(blocks):
-        t = np.moveaxis(np.tensordot(block, t, axes=(1, axis)), 0, axis)
-    return t.reshape(-1)
+    k, m = len(blocks), t.shape[-1]
+    t = t.reshape(-1, 2, m)
+    product = buf[: 2 * k * m].reshape(k, 2, m)
+    np.multiply(blocks[:, :, :1], t[:, :1], out=product)
+    product += blocks[:, :, 1:] * t[:, 1:]
+    moved = out[: 2 * k * m].reshape(m, k, 2)
+    moved[...] = product.transpose(2, 0, 1)
+    return moved
 
 
 def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> StateVector:
@@ -90,16 +109,20 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
 
     Equals (1/sqrt2)^N times the outcome's block tensor product applied to the
     input amplitudes; its squared norm is the Born probability of the outcome.
+    This is the one-row case of ``_outcome_table``: each pair's block stack is
+    cut to the outcome's result, and with one result per pair the interleaved
+    layout of the last contraction is already the amplitudes in order.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
-    blocks = [sub_matrix(p, a, inst.convention) for p, a in zip(inst.channel.pairs, out)]
-    amps = _apply_pair_blocks(blocks, inst.input_state.amps, n) * math.sqrt(0.5) ** n
+    blocks = [
+        pair_blocks(p, inst.convention)[r - 1 : r] for p, r in zip(inst.channel.pairs, out)
+    ]
+    t = inst.input_state.amps * math.sqrt(0.5) ** n
+    buf, amps = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
+    for b in blocks:
+        t = _contract_pair(b, t.reshape(2, -1), buf, amps)
     return StateVector(n, amps)
-
-
-def outcome_probability(inst: TeleportationInstance, outcome: Sequence[int]) -> float:
-    return collapsed_state(inst, outcome).squared_norm()
 
 
 def _non_invertible_pairs(channel: Channel, tol: float) -> tuple[int, ...]:
@@ -116,8 +139,9 @@ def recover(
 ) -> tuple[StateVector, float]:
     """Undo the outcome's blocks, renormalize, and report fidelity to the input.
 
-    Raises NotInvertibleError naming the offending pair(s) when any pair
-    determinant magnitude is at or below ``tol``.
+    The one-row case of ``_recovery_fidelities``, as ``collapsed_state`` is
+    of ``_outcome_table``.  Raises NotInvertibleError naming the offending
+    pair(s) when any pair determinant magnitude is at or below ``tol``.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
@@ -131,10 +155,14 @@ def recover(
             pair_indices=bad,
         )
     blocks = [
-        inverse_sub_matrix(p, a, inst.convention, tol)
-        for p, a in zip(inst.channel.pairs, out)
+        inverse_pair_blocks(p, inst.convention, tol)[r - 1 : r]
+        for p, r in zip(inst.channel.pairs, out)
     ]
-    recovered = StateVector(n, _apply_pair_blocks(blocks, collapsed.amps, n)).normalized()
+    t = collapsed.amps
+    buf, amps = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
+    for b in blocks:
+        t = _contract_pair(b, t.reshape(2, -1), buf, amps)
+    recovered = StateVector(n, amps).normalized()
     return recovered, fidelity(recovered, inst.input_state)
 
 
@@ -245,28 +273,6 @@ def _row_order(flat: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     shape = tuple(d for b in blocks for d in (len(b), 2))
     order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
     return flat[: math.prod(shape)].reshape(shape).transpose(order)
-
-
-def _contract_pair(
-    blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Apply k stacked 2x2 blocks to the leading qubit axis of ``t``.
-
-    ``t`` is (2, m), the same amplitudes for every block, or (k, 2, m), one
-    slice per block.  The result is a view of ``out`` shaped (m, k, 2): the
-    new (result, qubit) axes move to the back, so the next pair's qubit
-    leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
-    products keep this off BLAS: threaded OpenBLAS calls of these shapes were
-    measured to stall for about 8 ms each on a 2-CPU machine.
-    """
-    k, m = len(blocks), t.shape[-1]
-    t = t.reshape(-1, 2, m)
-    product = buf[: 2 * k * m].reshape(k, 2, m)
-    np.multiply(blocks[:, :, :1], t[:, :1], out=product)
-    product += blocks[:, :, 1:] * t[:, 1:]
-    moved = out[: 2 * k * m].reshape(m, k, 2)
-    moved[...] = product.transpose(2, 0, 1)
-    return moved
 
 
 def _outcome_table(

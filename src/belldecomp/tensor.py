@@ -17,19 +17,13 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_EQ_TOL",
-    "NORMALIZATION_TOL",
     "StateVector",
-    "QubitPermutation",
-    "tensor_product",
     "permute_qubits",
     "fidelity",
 ]
 
 # Max-abs entry difference used by equality-style checks package-wide.
 DEFAULT_EQ_TOL = 1e-10
-
-# A state counts as normalized when |sum(|amp|^2) - 1| stays below this.
-NORMALIZATION_TOL = 1e-9
 
 
 def _finite(arr: np.ndarray) -> bool:
@@ -62,9 +56,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
-        return abs(self.squared_norm() - 1.0) <= tol
-
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:
@@ -72,59 +63,20 @@ class StateVector:
         return StateVector(self.num_qubits, self.amps / n)
 
 
-@dataclass(frozen=True)
-class QubitPermutation:
-    """Reordering of qubit positions.
-
-    ``perm`` is 1-based: after applying, output qubit position k carries
-    whatever input qubit position ``perm[k]`` carried.
-    """
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.perm)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError(f"permutation must be a bijection on 1..{len(perm)}, got {perm}")
-        object.__setattr__(self, "perm", perm)
-
-    def __len__(self) -> int:
-        return len(self.perm)
-
-    def inverse(self) -> "QubitPermutation":
-        inv = [0] * len(self.perm)
-        for k, p in enumerate(self.perm, start=1):
-            inv[p - 1] = k
-        return QubitPermutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, num_qubits: int) -> "QubitPermutation":
-        return cls(tuple(range(1, num_qubits + 1)))
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two dense matrices.
-
-    Entry ((i1*rows(b) + i2), (j1*cols(b) + j2)) of the result equals
-    a[i1, j1] * b[i2, j2].
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor_product expects 2-D matrices")
-    return np.kron(a, b)
-
-
-def permute_qubits(state: StateVector, permutation: QubitPermutation) -> StateVector:
+def permute_qubits(state: StateVector, permutation: Sequence[int]) -> StateVector:
     """Reindex a state so output qubit k carries input qubit ``perm[k]``.
 
+    ``permutation`` is 1-based and must be a bijection on 1..num_qubits.
     Pure reindexing: the multiset of amplitudes, and hence the norm, is
     preserved exactly.
     """
     n = state.num_qubits
-    if len(permutation) != n:
-        raise ValueError(f"permutation length {len(permutation)} does not match {n} qubit(s)")
-    axes = [p - 1 for p in permutation.perm]
+    perm = tuple(int(p) for p in permutation)
+    if len(perm) != n:
+        raise ValueError(f"permutation length {len(perm)} does not match {n} qubit(s)")
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"permutation must be a bijection on 1..{n}, got {perm}")
+    axes = [p - 1 for p in perm]
     amps = state.amps.reshape((2,) * n).transpose(axes).reshape(-1).copy()
     return StateVector(n, amps)
 

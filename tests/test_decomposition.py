@@ -14,7 +14,6 @@ from belldecomp import (
     inverse_sub_matrix,
     is_proportional_to_unitary,
     sub_matrix,
-    tensor_product,
 )
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
@@ -114,7 +113,7 @@ class TestDecompositionMatrix:
         ch = Channel(pairs)
         dm = decomposition_matrix(ch, (2, 3, 4), BHS)
         blocks = [sub_matrix(p, r, BHS) for p, r in zip(pairs, (2, 3, 4))]
-        assert np.array_equal(dm.matrix, reduce(tensor_product, blocks))
+        assert np.array_equal(dm.matrix, reduce(np.kron, blocks))
         assert dm.outcome == (2, 3, 4)
         assert dm.convention is BHS
 

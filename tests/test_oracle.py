@@ -16,11 +16,13 @@ from belldecomp import (
     bell_state,
     collapsed_state,
     cross_check,
+    enumerate_outcomes,
     joint_state,
     random_instance,
     random_state,
     rearrange_for_measurement,
 )
+from belldecomp.oracle import _reconstruction_diff
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -195,3 +197,10 @@ class TestCrossCheck:
                 bell = reduce(np.kron, [bell_state(r) for r in out])
                 rebuilt += np.kron(bell, collapsed_state(inst, out).amps)
             np.testing.assert_allclose(rebuilt, rs.amps, atol=1e-12)
+            assert _reconstruction_diff(inst, enumerate_outcomes(inst)) <= 1e-12
+
+    def test_reconstruction_diff_sees_swapped_records(self):
+        inst = random_instance(2, np.random.default_rng(85), BHS)
+        records = enumerate_outcomes(inst)
+        records[0], records[5] = records[5], records[0]
+        assert _reconstruction_diff(inst, records) > 1e-3

@@ -15,18 +15,18 @@ from belldecomp import (
     TeleportationInstance,
     channel_criterion,
     collapsed_state,
+    decomposition_matrix,
     enumerate_outcomes,
     fidelity,
     inverse_sub_matrix,
-    outcome_probability,
     random_channel,
     random_instance,
     random_pair,
     random_state,
     recover,
     sample_outcome,
-    tensor_product,
 )
+from belldecomp.channel import NORM_WARN_TOL
 from belldecomp.protocol import _outcome_table
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
@@ -58,6 +58,23 @@ class TestTeleportationInstance:
         state = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(ValueError):
             TeleportationInstance(state, Channel((mes_pair(),)), BHS)
+
+    def test_unnormalized_pair_rejected(self):
+        """Accepted, the pair (2, 0, 0, 2) made the probabilities sum to 8."""
+        ch = Channel((mes_pair(), EntangledPair(np.array([2, 0, 0, 2], dtype=complex))))
+        state = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
+        with pytest.raises(ValueError, match="pair 2 must have unit norm"):
+            TeleportationInstance(state, ch, BHS)
+
+    def test_unnormalized_input_rejected(self):
+        state = StateVector(1, np.array([3, 0], dtype=complex))
+        with pytest.raises(ValueError, match="input state must have unit norm"):
+            TeleportationInstance(state, Channel((mes_pair(),)), BHS)
+
+    def test_norm_within_tolerance_accepted(self):
+        state = StateVector(1, np.array([1 + NORM_WARN_TOL / 2, 0], dtype=complex))
+        pair = EntangledPair(mes_pair().y * (1 - NORM_WARN_TOL / 2))
+        TeleportationInstance(state, Channel((pair,)), BHS)
 
 
 class TestCollapsedState:
@@ -91,15 +108,8 @@ class TestCollapsedState:
             expected[k] = x.amps[k] * scale
         np.testing.assert_allclose(c.amps, expected / np.sqrt(2) ** 3, atol=1e-14)
 
-    def test_probability_is_squared_norm(self):
-        inst = random_instance(2, np.random.default_rng(53), BHF)
-        for out in [(1, 1), (2, 3), (4, 4)]:
-            assert outcome_probability(inst, out) == collapsed_state(inst, out).squared_norm()
-
     def test_matches_materialized_matrix(self):
         """Applying blocks axis by axis equals multiplying by the full tensor product."""
-        from belldecomp import decomposition_matrix
-
         inst = random_instance(3, np.random.default_rng(54), BHS)
         for out in [(1, 2, 3), (4, 4, 1), (3, 2, 2)]:
             dm = decomposition_matrix(inst.channel, out, BHS)
@@ -131,7 +141,7 @@ class TestRecover:
         inverses = [
             inverse_sub_matrix(p, r, BHS) for p, r in zip(inst.channel.pairs, out)
         ]
-        op = reduce(tensor_product, inverses)
+        op = reduce(np.kron, inverses)
         np.testing.assert_allclose(op, 2.0 * np.kron(X, I2), atol=1e-12)
         s = np.linalg.svd(op, compute_uv=False)
         np.testing.assert_allclose(s, np.full(4, 2.0), atol=1e-12)
@@ -320,8 +330,15 @@ def degenerate_instance(n: int, conv, seed: int) -> TeleportationInstance:
     return TeleportationInstance(state, Channel(tuple(pairs)), conv)
 
 
+def dense_collapsed(inst: TeleportationInstance, outcome) -> StateVector:
+    """(1/sqrt2)^N times the materialized decomposition matrix applied to the input."""
+    n = inst.num_qubits
+    dm = decomposition_matrix(inst.channel, outcome, inst.convention)
+    return StateVector(n, np.sqrt(0.5) ** n * (dm.matrix @ inst.input_state.amps))
+
+
 class TestOutcomeTable:
-    """The one-pass table and the records built on it against the per-outcome path."""
+    """The one-pass table and the records built on it against dense matrix products."""
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -333,14 +350,17 @@ class TestOutcomeTable:
         outcomes = list(itertools.product((1, 2, 3, 4), repeat=n))
         assert [r.outcome for r in records] == outcomes
         for k, out in enumerate(outcomes):
-            c = collapsed_state(inst, out)
+            c = dense_collapsed(inst, out)
             np.testing.assert_allclose(table[k], c.amps, rtol=0, atol=1e-15)
             assert probs[k] == pytest.approx(c.squared_norm(), abs=1e-15)
             assert records[k].probability == pytest.approx(c.squared_norm(), abs=1e-15)
             np.testing.assert_allclose(
                 records[k].collapsed.amps, c.normalized().amps, rtol=0, atol=1e-12
             )
-            _, fid = recover(c, inst, out)
+            inverse = reduce(
+                np.kron, [inverse_sub_matrix(p, r, conv) for p, r in zip(inst.channel.pairs, out)]
+            )
+            fid = fidelity(StateVector(n, inverse @ c.amps), inst.input_state)
             assert records[k].recovered_fidelity == pytest.approx(fid, abs=1e-12)
             assert records[k].invertible
 
@@ -353,7 +373,7 @@ class TestOutcomeTable:
         outcomes = itertools.product((1, 2, 3, 4), repeat=n)
         zero = 0
         for k, (out, rec) in enumerate(zip(outcomes, records)):
-            c = collapsed_state(inst, out)
+            c = dense_collapsed(inst, out)
             np.testing.assert_allclose(table[k], c.amps, rtol=0, atol=1e-15)
             assert probs[k] == pytest.approx(c.squared_norm(), abs=1e-15)
             assert rec.recovered_fidelity is None and not rec.invertible
