@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from belldecomp import cli
+from belldecomp.channel import NORM_WARN_TOL
 
 
 def write_state(path, num_qubits, amps):
@@ -74,6 +75,14 @@ class TestParsing:
         assert code == 0
         assert "state" in err and "renormalized" in err
         assert "pair 1" in err
+
+    def test_norm_within_tolerance_loads_silently(self, tmp_path, capsys):
+        scale = 1 + NORM_WARN_TOL / 2
+        state = write_state(tmp_path / "s.json", 1, [complex(scale), 0j])
+        channel = write_channel(tmp_path / "c.json", [[z * scale for z in MES]])
+        code = cli.main(["teleport", "--state", state, "--channel", channel])
+        assert code == 0
+        assert "renormalized" not in capsys.readouterr().err
 
     def test_size_mismatch(self, tmp_path, capsys):
         state = write_state(tmp_path / "s.json", 1, [1 + 0j, 0j])

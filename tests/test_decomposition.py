@@ -117,6 +117,19 @@ class TestDecompositionMatrix:
         assert dm.outcome == (2, 3, 4)
         assert dm.convention is BHS
 
+    def test_entry_definition(self):
+        """The first pair indexes the most significant qubit:
+        entry[2*i1 + i2, 2*j1 + j2] == A1[i1, j1] * A2[i2, j2], up to the
+        multiply's round-off."""
+        rng = np.random.default_rng(37)
+        pairs = (random_pair(rng), random_pair(rng))
+        dm = decomposition_matrix(Channel(pairs), (2, 4), BHF)
+        a1, a2 = (sub_matrix(p, r, BHF) for p, r in zip(pairs, (2, 4)))
+        for i1, j1, i2, j2 in np.ndindex(2, 2, 2, 2):
+            assert dm.matrix[2 * i1 + i2, 2 * j1 + j2] == pytest.approx(
+                a1[i1, j1] * a2[i2, j2], abs=1e-15
+            )
+
     def test_mes_identity_outcome(self):
         ch = Channel((mes_pair(), mes_pair()))
         dm = decomposition_matrix(ch, (1, 1), BHS)

@@ -108,6 +108,14 @@ class TestCollapsedState:
             expected[k] = x.amps[k] * scale
         np.testing.assert_allclose(c.amps, expected / np.sqrt(2) ** 3, atol=1e-14)
 
+    def test_probability_is_squared_norm(self):
+        """A record's probability is the squared norm of that outcome's collapsed state."""
+        inst = random_instance(2, np.random.default_rng(53), BHF)
+        records = {r.outcome: r for r in enumerate_outcomes(inst)}
+        for out in [(1, 1), (2, 3), (4, 4)]:
+            expected = collapsed_state(inst, out).squared_norm()
+            assert records[out].probability == pytest.approx(expected, abs=1e-15)
+
     def test_matches_materialized_matrix(self):
         """Applying blocks axis by axis equals multiplying by the full tensor product."""
         inst = random_instance(3, np.random.default_rng(54), BHS)

@@ -69,6 +69,20 @@ class TestPermuteQubits:
             back = permute_qubits(permute_qubits(s, perm), inverse)
             assert np.array_equal(back.amps, s.amps)
 
+    def test_identity(self):
+        s = StateVector(3, np.arange(8) + 1j * np.arange(8)[::-1])
+        assert np.array_equal(permute_qubits(s, (1, 2, 3)).amps, s.amps)
+
+    def test_inverse(self):
+        """(2, 3, 1) is undone by its inverse (3, 1, 2): |011> -> |110> -> |011>."""
+        perm = (2, 3, 1)
+        inverse = tuple(np.argsort(perm) + 1)
+        assert inverse == (3, 1, 2)
+        s = StateVector(3, np.eye(8)[0b011].astype(complex))
+        out = permute_qubits(s, perm)
+        assert np.array_equal(out.amps, np.eye(8)[0b110].astype(complex))
+        assert np.array_equal(permute_qubits(out, inverse).amps, s.amps)
+
     def test_length_mismatch_raises(self):
         s = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
         with pytest.raises(ValueError, match="does not match"):
