@@ -9,10 +9,8 @@ from .channel import (
     Channel,
     EntangledPair,
     bell_state,
-    bell_transform,
     concurrence,
     pair_determinant,
-    validate_pair,
 )
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
@@ -76,7 +74,6 @@ __all__ = [
     "TeleportationInstance",
     "bell_project",
     "bell_state",
-    "bell_transform",
     "channel_criterion",
     "collapsed_state",
     "concurrence",
@@ -98,6 +95,5 @@ __all__ = [
     "sample_outcome",
     "sub_matrix",
     "validate_outcome",
-    "validate_pair",
     "__version__",
 ]

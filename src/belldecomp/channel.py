@@ -1,4 +1,4 @@
-"""Entangled channel pairs and the Bell change-of-basis matrix."""
+"""Entangled channel pairs, the Bell states and pair diagnostics."""
 
 from __future__ import annotations
 
@@ -10,15 +10,13 @@ __all__ = [
     "NORM_WARN_TOL",
     "EntangledPair",
     "Channel",
-    "bell_transform",
     "bell_state",
     "pair_determinant",
     "concurrence",
-    "validate_pair",
 ]
 
-# Pairs whose norm deviates from 1 by more than this get renormalized
-# with a warning instead of silently.
+# A state or pair whose norm deviates from 1 by more than this is off unit
+# norm: the library rejects it, and the CLI renormalizes it with a warning.
 NORM_WARN_TOL = 1e-6
 
 # Rows are the four Bell states expressed over |00>, |01>, |10>, |11>,
@@ -55,9 +53,6 @@ class EntangledPair:
     def squared_norm(self) -> float:
         return float(np.vdot(self.y, self.y).real)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.y))
-
 
 @dataclass(frozen=True)
 class Channel:
@@ -75,15 +70,6 @@ class Channel:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-def bell_transform() -> np.ndarray:
-    """4x4 change of basis between the Bell basis and |00>,|01>,|10>,|11>.
-
-    The 1/sqrt(2) prefactor is deliberately left out (callers track it),
-    so the matrix satisfies T @ T.T == 2*I exactly.
-    """
-    return _BELL_ROWS.copy()
 
 
 def bell_state(index: int) -> np.ndarray:
@@ -107,16 +93,3 @@ def concurrence(pair: EntangledPair) -> float:
     """2*|det| of the coefficient matrix; the usual measure for normalized pairs."""
     return 2.0 * abs(pair_determinant(pair))
 
-
-def validate_pair(pair: EntangledPair, tol: float = NORM_WARN_TOL) -> tuple[EntangledPair, bool]:
-    """Rescale a pair to unit norm.
-
-    Returns the normalized pair and a flag that is True when the input norm
-    deviated from 1 by more than ``tol`` (the caller should surface that as
-    a warning).  A zero pair is rejected outright.
-    """
-    n = pair.norm()
-    if n == 0.0:
-        raise ValueError("channel pair must not be the zero vector")
-    warned = abs(n - 1.0) > tol
-    return EntangledPair(pair.y / n), warned

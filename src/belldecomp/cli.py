@@ -15,11 +15,11 @@ import os
 import sys
 from functools import reduce
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import NORM_WARN_TOL, Channel, EntangledPair, pair_determinant, validate_pair
+from .channel import NORM_WARN_TOL, Channel, EntangledPair, pair_determinant
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
@@ -27,8 +27,9 @@ from .decomposition import (
     decomposition_matrix,
     inverse_sub_matrix,
     sub_matrix,
+    validate_outcome,
 )
-from .oracle import ORACLE_CAP, _reconstruction_diff, cross_check
+from .oracle import _reconstruction_diff, cross_check
 from .protocol import (
     TeleportationInstance,
     channel_criterion,
@@ -68,12 +69,26 @@ def _complex_from_json(value, what: str) -> complex:
     return complex(value[0], value[1])
 
 
-def load_state(path: Path) -> StateVector:
-    """Read {"num_qubits": N, "amps": [[re, im], ...]} from a JSON file."""
+def _read_json(path: Path, what: str):
     try:
-        doc = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read state file {path}: {exc}") from exc
+        raise CliInputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _renormalized(amps: np.ndarray, what: str, warning: Callable[[float], str]) -> np.ndarray:
+    """``amps`` divided by their norm; ``warning(norm)`` goes to stderr when it was off 1."""
+    norm = float(np.linalg.norm(amps))
+    if norm == 0.0:
+        raise CliInputError(f"{what} must not be the zero vector")
+    if abs(norm - 1.0) > NORM_WARN_TOL:
+        print(warning(norm), file=sys.stderr)
+    return amps / norm
+
+
+def load_state(path: Path) -> StateVector:
+    """Read {"num_qubits": N, "amps": [[re, im], ...]} from a JSON file, normalizing it."""
+    doc = _read_json(path, "state")
     if not isinstance(doc, dict) or "num_qubits" not in doc or "amps" not in doc:
         raise CliInputError(f"{path}: expected an object with num_qubits and amps")
     n = doc["num_qubits"]
@@ -90,23 +105,17 @@ def load_state(path: Path) -> StateVector:
         state = StateVector(n, np.array(values))
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
-    norm = state.norm()
-    if norm == 0.0:
-        raise CliInputError(f"{path}: state must not be the zero vector")
-    if abs(norm - 1.0) > NORM_WARN_TOL:
-        print(
-            f"warning: state in {path} renormalized (norm was {norm:.6g})",
-            file=sys.stderr,
-        )
-    return state.normalized()
+    amps = _renormalized(
+        state.amps,
+        f"{path}: state",
+        lambda norm: f"warning: state in {path} renormalized (norm was {norm:.6g})",
+    )
+    return StateVector(n, amps)
 
 
 def load_channel(path: Path) -> Channel:
     """Read {"pairs": [[[re, im] x4], ...]} from a JSON file, normalizing pairs."""
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read channel file {path}: {exc}") from exc
+    doc = _read_json(path, "channel")
     if not isinstance(doc, dict) or "pairs" not in doc or not isinstance(doc["pairs"], list):
         raise CliInputError(f"{path}: expected an object with a pairs list")
     if not doc["pairs"]:
@@ -117,26 +126,24 @@ def load_channel(path: Path) -> Channel:
             raise CliInputError(f"{path}: pair {i} must have exactly 4 coefficients")
         values = [_complex_from_json(v, f"{path}: pair {i}") for v in raw]
         try:
-            pair, warned = validate_pair(EntangledPair(np.array(values)))
+            pair = EntangledPair(np.array(values))
         except ValueError as exc:
             raise CliInputError(f"{path}: pair {i}: {exc}") from exc
-        if warned:
-            print(f"warning: channel pair {i} in {path} renormalized", file=sys.stderr)
-        pairs.append(pair)
+        y = _renormalized(
+            pair.y,
+            f"{path}: pair {i}",
+            lambda _: f"warning: channel pair {i} in {path} renormalized",
+        )
+        pairs.append(EntangledPair(y))
     return Channel(tuple(pairs))
 
 
-def parse_outcome(text: str, num_pairs: int) -> tuple[int, ...]:
-    """Accept '234' or '2,3,4'."""
+def parse_outcome(text: str) -> tuple[int, ...]:
+    """Accept '234' or '2,3,4'; ``validate_outcome`` checks the length and range."""
     digits = text.replace(",", "").replace(" ", "")
-    if not digits.isdigit():
+    if not (digits.isascii() and digits.isdigit()):
         raise CliInputError(f"outcome must be digits 1-4, got {text!r}")
-    out = tuple(int(c) for c in digits)
-    if len(out) != num_pairs:
-        raise CliInputError(f"outcome has {len(out)} result(s) but channel has {num_pairs} pair(s)")
-    if any(a < 1 or a > 4 for a in out):
-        raise CliInputError(f"outcome digits must be 1-4, got {text!r}")
-    return out
+    return tuple(int(c) for c in digits)
 
 
 def _resolve_output(path_text: str | None) -> Path | None:
@@ -170,10 +177,6 @@ def _fmt_amps(state: StateVector) -> str:
     return "\n".join(lines)
 
 
-def _convention(args: argparse.Namespace) -> PairingConvention:
-    return PairingConvention(args.convention)
-
-
 def _criterion_lines(channel: Channel, tol_inv: float) -> tuple[list[str], bool]:
     report = channel_criterion(channel, tol=tol_inv)
     lines = []
@@ -194,9 +197,9 @@ def _criterion_lines(channel: Channel, tol_inv: float) -> tuple[list[str], bool]
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     channel = load_channel(Path(args.channel))
-    convention = _convention(args)
-    outcome = parse_outcome(args.outcome, len(channel.pairs))
+    convention = PairingConvention(args.convention)
     n = len(channel.pairs)
+    outcome = validate_outcome(parse_outcome(args.outcome), n)
     print(f"channel: {n} pair(s), convention {convention.value}, outcome {''.join(map(str, outcome))}")
     crit_lines, _ = _criterion_lines(channel, args.tol_inv)
     for line in crit_lines:
@@ -232,11 +235,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_teleport(args: argparse.Namespace) -> int:
     state = load_state(Path(args.state))
     channel = load_channel(Path(args.channel))
-    convention = _convention(args)
-    try:
-        inst = TeleportationInstance(state, channel, convention)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    inst = TeleportationInstance(state, channel, PairingConvention(args.convention))
     crit_lines, ok = _criterion_lines(channel, args.tol_inv)
     for line in crit_lines:
         print(line)
@@ -313,15 +312,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     channel_path = Path(args.channel) if args.channel else DEFAULT_CHANNEL_FIXTURE
     state = load_state(state_path)
     channel = load_channel(channel_path)
-    convention = _convention(args)
-    try:
-        inst = TeleportationInstance(state, channel, convention)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    if inst.num_qubits > ORACLE_CAP:
-        raise CliInputError(
-            f"verify needs the oracle, which supports at most {ORACLE_CAP} qubit(s)"
-        )
+    convention = PairingConvention(args.convention)
+    inst = TeleportationInstance(state, channel, convention)
     lines = [
         f"instance: {inst.num_qubits} qubit(s), convention {convention.value}",
         f"state: {state_path}",
@@ -352,12 +344,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     state = load_state(Path(args.state))
     channel = load_channel(Path(args.channel))
-    convention = _convention(args)
+    convention = PairingConvention(args.convention)
     n = len(channel.pairs)
-    if state.num_qubits != n:
-        raise CliInputError(
-            f"state has {state.num_qubits} qubit(s) but channel has {n} pair(s)"
-        )
     if not 1 <= args.pair <= n:
         raise CliInputError(f"--pair must be in 1..{n}, got {args.pair}")
     if args.theta_steps < 1:
@@ -375,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             float(np.linalg.svd(p.amplitude_matrix(), compute_uv=False)[-1])
             for p in swept.pairs
         )
-        for record in enumerate_outcomes(inst, tol=args.tol_inv, compute_recovery=False):
+        for record in enumerate_outcomes(inst, compute_recovery=False):
             rows.append(
                 (
                     f"{theta:.17g}",
@@ -411,14 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=PairingConvention.BOB_HOLDS_SECOND.value,
         help="which qubit of each pair the receiver keeps (default: %(default)s)",
     )
-    common.add_argument(
-        "--tol-eq",
-        type=float,
-        default=DEFAULT_EQ_TOL,
-        metavar="X",
-        help="max-abs tolerance for equality checks (default: %(default)g)",
-    )
-    common.add_argument(
+    # Every subcommand but sweep, which runs no recovery, takes --tol-inv.
+    inverting = argparse.ArgumentParser(add_help=False)
+    inverting.add_argument(
         "--tol-inv",
         type=float,
         default=DEFAULT_INVERTIBILITY_TOL,
@@ -431,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "decompose",
-        parents=[common],
+        parents=[common, inverting],
         help="print the per-pair blocks, their tensor product and its inverse",
     )
     p.add_argument("--channel", required=True, help="channel JSON file")
@@ -440,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "teleport",
-        parents=[common],
+        parents=[common, inverting],
         help="sample one outcome and run the full protocol on it",
     )
     p.add_argument("--state", required=True, help="input state JSON file")
@@ -450,8 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, inverting],
         help="cross-check block predictions against the brute-force oracle",
+    )
+    p.add_argument(
+        "--tol-eq",
+        type=float,
+        default=DEFAULT_EQ_TOL,
+        metavar="X",
+        help="max-abs tolerance for equality checks (default: %(default)g)",
     )
     p.add_argument("--state", help="input state JSON file (default: bundled 3-qubit fixture)")
     p.add_argument("--channel", help="channel JSON file (default: bundled fixture)")

@@ -50,6 +50,14 @@ __all__ = [
 ENUMERATION_CAP = 8
 
 
+def _check_unit_norm(squared_norm: float, what: str) -> None:
+    """Raise ValueError when the norm is off 1 by more than ``NORM_WARN_TOL``."""
+    # sqrt of a vdot: half the cost of np.linalg.norm on vectors this small.
+    norm = math.sqrt(squared_norm)
+    if abs(norm - 1.0) > NORM_WARN_TOL:
+        raise ValueError(f"{what} must have unit norm, got {norm:.6g}")
+
+
 @dataclass(frozen=True)
 class TeleportationInstance:
     """An input state plus the channel it is sent through.
@@ -68,14 +76,9 @@ class TeleportationInstance:
                 f"input has {self.input_state.num_qubits} qubit(s) but channel has "
                 f"{len(self.channel.pairs)} pair(s)"
             )
-        # sqrt of a vdot: half the cost of np.linalg.norm on vectors this small.
-        norm = math.sqrt(self.input_state.squared_norm())
-        if abs(norm - 1.0) > NORM_WARN_TOL:
-            raise ValueError(f"input state must have unit norm, got {norm:.6g}")
+        _check_unit_norm(self.input_state.squared_norm(), "input state")
         for i, p in enumerate(self.channel.pairs, start=1):
-            norm = math.sqrt(p.squared_norm())
-            if abs(norm - 1.0) > NORM_WARN_TOL:
-                raise ValueError(f"channel pair {i} must have unit norm, got {norm:.6g}")
+            _check_unit_norm(p.squared_norm(), f"channel pair {i}")
 
     @property
     def num_qubits(self) -> int:
@@ -192,21 +195,20 @@ class ChannelReport:
     failed_pairs: tuple[int, ...]
 
 
-def channel_criterion(
-    channel: Channel,
-    tol: float = DEFAULT_INVERTIBILITY_TOL,
-    unitary_tol: float = 1e-10,
-) -> ChannelReport:
+def channel_criterion(channel: Channel, tol: float = DEFAULT_INVERTIBILITY_TOL) -> ChannelReport:
     """Evaluate whether teleportation through this channel can succeed.
 
-    The block singular values do not depend on the Bell result or the
-    pairing convention, so the unitary-proportionality flag is computed
-    once per pair from its coefficient matrix.
+    Every pair must have unit norm to within ``NORM_WARN_TOL``, as in
+    ``TeleportationInstance``; the concurrence and scale assume it.  The
+    block singular values do not depend on the Bell result or the pairing
+    convention, so the unitary-proportionality flag is computed once per
+    pair from its coefficient matrix.
     """
     diags = []
     for i, p in enumerate(channel.pairs, start=1):
+        _check_unit_norm(p.squared_norm(), f"channel pair {i}")
         det = pair_determinant(p)
-        unitary, scale = is_proportional_to_unitary(p.amplitude_matrix(), unitary_tol)
+        unitary, scale = is_proportional_to_unitary(p.amplitude_matrix())
         diags.append(
             PairDiagnostics(
                 index=i,
@@ -275,9 +277,7 @@ def _row_order(flat: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return flat[: math.prod(shape)].reshape(shape).transpose(order)
 
 
-def _outcome_table(
-    inst: TeleportationInstance, cap: int = ENUMERATION_CAP
-) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized collapsed states of all 4^N outcomes and their Born probabilities.
 
     Row k of the (4^N, 2^N) table is ``collapsed_state`` of the k-th outcome in
@@ -285,8 +285,10 @@ def _outcome_table(
     in two chunk-sized buffers and then copied into place.
     """
     n = inst.num_qubits
-    if n > cap:
-        raise ValueError(f"refusing to enumerate 4**{n} outcomes (cap is {cap} qubits)")
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"refusing to enumerate 4**{n} outcomes (cap is {ENUMERATION_CAP} qubits)"
+        )
     stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
     x = inst.input_state.amps * math.sqrt(0.5) ** n
     table = np.empty((4**n, 1 << n), dtype=np.complex128)
@@ -335,7 +337,6 @@ def _recovery_fidelities(
 
 def enumerate_outcomes(
     inst: TeleportationInstance,
-    cap: int = ENUMERATION_CAP,
     tol: float = DEFAULT_INVERTIBILITY_TOL,
     compute_recovery: bool = True,
 ) -> list[OutcomeRecord]:
@@ -346,7 +347,7 @@ def enumerate_outcomes(
     (4^N, 2^N) table of normalized states, 16 * 8^N bytes in all.
     """
     n = inst.num_qubits
-    table, probs = _outcome_table(inst, cap)
+    table, probs = _outcome_table(inst)
     norms = np.sqrt(probs)
     zero = norms == 0.0
     norms[zero] = 1.0

@@ -26,10 +26,6 @@ __all__ = [
 DEFAULT_EQ_TOL = 1e-10
 
 
-def _finite(arr: np.ndarray) -> bool:
-    return bool(np.isfinite(arr).all())
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of ``num_qubits`` qubits as a flat array of 2**num_qubits amplitudes."""
@@ -46,7 +42,7 @@ class StateVector:
             raise ValueError(
                 f"expected {expected} amplitudes for {self.num_qubits} qubit(s), got {amps.size}"
             )
-        if not _finite(amps):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amps", amps)
 

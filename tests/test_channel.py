@@ -1,4 +1,4 @@
-"""Tests for channel pairs, the Bell transform and pair diagnostics."""
+"""Tests for channel pairs, the Bell states and pair diagnostics."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from belldecomp import (
     Channel,
     EntangledPair,
     bell_state,
-    bell_transform,
     concurrence,
     pair_determinant,
-    validate_pair,
 )
 
 
@@ -18,7 +16,7 @@ def mes_pair() -> EntangledPair:
     return EntangledPair(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
-class TestBellTransform:
+class TestBellState:
     def test_exact_rows(self):
         expected = np.array(
             [
@@ -29,16 +27,8 @@ class TestBellTransform:
             ],
             dtype=float,
         )
-        assert np.array_equal(bell_transform(), expected)
-
-    def test_twice_identity(self):
-        t = bell_transform()
-        assert np.array_equal(t @ t.T, 2 * np.eye(4))
-
-    def test_returns_a_copy(self):
-        t = bell_transform()
-        t[0, 0] = 99
-        assert bell_transform()[0, 0] == 1
+        rows = np.array([np.sqrt(2.0) * bell_state(i) for i in (1, 2, 3, 4)])
+        np.testing.assert_allclose(rows, expected, rtol=0, atol=1e-15)
 
     def test_bell_states_orthonormal(self):
         states = [bell_state(i) for i in (1, 2, 3, 4)]
@@ -103,26 +93,3 @@ class TestConcurrence:
             p = EntangledPair(y / np.linalg.norm(y))
             assert 0.0 <= concurrence(p) <= 1.0 + 1e-12
 
-
-class TestValidatePair:
-    def test_renormalizes_with_warning(self):
-        p, warned = validate_pair(EntangledPair(np.array([1, 0, 0, 1], dtype=complex)))
-        assert warned
-        np.testing.assert_allclose(p.y, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-15)
-
-    def test_normalized_input_is_untouched(self):
-        p, warned = validate_pair(mes_pair())
-        assert not warned
-        np.testing.assert_allclose(p.y, mes_pair().y, atol=1e-15)
-
-    def test_zero_pair_rejected(self):
-        with pytest.raises(ValueError):
-            validate_pair(EntangledPair(np.zeros(4)))
-
-    def test_output_always_unit_norm(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            y = 3.0 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-            p, warned = validate_pair(EntangledPair(y))
-            assert warned
-            assert p.squared_norm() == pytest.approx(1.0, abs=1e-12)

@@ -11,6 +11,7 @@ import pytest
 
 from belldecomp import cli
 from belldecomp.channel import NORM_WARN_TOL
+from belldecomp.oracle import ORACLE_CAP
 
 
 def write_state(path, num_qubits, amps):
@@ -88,6 +89,8 @@ class TestParsing:
         state = write_state(tmp_path / "s.json", 1, [1 + 0j, 0j])
         channel = write_channel(tmp_path / "c.json", [MES, MES])
         assert cli.main(["teleport", "--state", state, "--channel", channel]) == 2
+        assert cli.main(["sweep", "--state", state, "--channel", channel]) == 2
+        assert "input has 1 qubit(s) but channel has 2 pair(s)" in capsys.readouterr().err
 
     def test_boolean_amplitude_in_state_file(self, tmp_path, capsys):
         state = tmp_path / "s.json"
@@ -120,6 +123,61 @@ class TestParsing:
         channel = write_channel(tmp_path / "c.json", [MES])
         assert cli.main(["decompose", "--channel", channel, "--outcome", "5"]) == 2
         assert cli.main(["decompose", "--channel", channel, "--outcome", "12"]) == 2
+        assert cli.main(["decompose", "--channel", channel, "--outcome", "\u00b2"]) == 2
+        assert "outcome must be digits 1-4, got '\u00b2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["teleport", "--tol-eq", "1e-8"],
+            ["decompose", "--tol-eq", "1e-8"],
+            ["sweep", "--tol-eq", "1e-8"],
+            ["sweep", "--tol-inv", "1e-8"],
+        ],
+    )
+    def test_tolerance_flags_only_where_read(self, argv, capsys):
+        """--tol-eq belongs to verify alone, and sweep runs no recovery to need --tol-inv."""
+        state, channel = map(str, (cli.DEFAULT_STATE_FIXTURE, cli.DEFAULT_CHANNEL_FIXTURE))
+        files = {
+            "teleport": ["--state", state, "--channel", channel],
+            "decompose": ["--channel", channel, "--outcome", "111"],
+            "sweep": ["--state", state, "--channel", channel],
+        }
+        assert cli.main(argv + files[argv[0]]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestLoadChannel:
+    """Pairs are renormalized on load, with a warning when the norm was off 1."""
+
+    def test_unit_pair_loads_unchanged(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        y /= np.linalg.norm(y)
+        channel = cli.load_channel(Path(write_channel(tmp_path / "c.json", [list(y)])))
+        np.testing.assert_allclose(channel.pairs[0].y, y, rtol=0, atol=1e-15)
+        assert capsys.readouterr().err == ""
+
+    def test_scaled_pair_loads_at_unit_norm_and_warns(self, tmp_path, capsys):
+        rng = np.random.default_rng(24)
+        pairs = [3.0 * (rng.standard_normal(4) + 1j * rng.standard_normal(4)) for _ in range(5)]
+        channel = cli.load_channel(Path(write_channel(tmp_path / "c.json", pairs)))
+        for p in channel.pairs:
+            assert p.squared_norm() == pytest.approx(1.0, abs=1e-12)
+        err = capsys.readouterr().err
+        assert [f"channel pair {i} " in err for i in range(1, 6)] == [True] * 5
+        assert err.count("renormalized") == 5
+
+    def test_mes_without_prefactor_warns(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        channel = cli.load_channel(Path(write_channel(path, [[1 + 0j, 0j, 0j, 1 + 0j]])))
+        np.testing.assert_allclose(channel.pairs[0].y, MES, rtol=0, atol=1e-15)
+        assert capsys.readouterr().err == f"warning: channel pair 1 in {path} renormalized\n"
+
+    def test_zero_pair_exits_2(self, tmp_path, capsys):
+        channel = write_channel(tmp_path / "c.json", [MES, [0j, 0j, 0j, 0j]])
+        assert cli.main(["decompose", "--channel", channel, "--outcome", "11"]) == 2
+        assert "pair 2 must not be the zero vector" in capsys.readouterr().err
 
 
 class TestDecompose:
@@ -194,6 +252,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "check recovery-fidelity: SKIP" in out
+
+    def test_above_the_oracle_cap_is_a_usage_error(self, tmp_path, capsys):
+        n = ORACLE_CAP + 1
+        state = write_state(tmp_path / "s.json", n, [1 + 0j] + [0j] * ((1 << n) - 1))
+        channel = write_channel(tmp_path / "c.json", [MES] * n)
+        assert cli.main(["verify", "--state", state, "--channel", channel]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"supports at most {ORACLE_CAP} qubit(s)" in captured.err
 
     def test_random_instances_and_output_file(self, tmp_path, capsys):
         out_file = tmp_path / "report.txt"

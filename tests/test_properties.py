@@ -1,13 +1,27 @@
-"""Property tests for the block factorization B_r = M @ sigma_r."""
+"""Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, and
+Born probabilities and oracle agreement on normalized instances with near-singular pairs."""
+
+import math
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_protocol import pair_with_abs_det
 
-from belldecomp import EntangledPair, PairingConvention, sub_matrix
+from belldecomp import (
+    Channel,
+    EntangledPair,
+    PairingConvention,
+    StateVector,
+    TeleportationInstance,
+    cross_check,
+    enumerate_outcomes,
+    random_state,
+    sub_matrix,
+)
 from belldecomp.decomposition import SIGMA, inverse_pair_blocks, inverse_sub_matrix, pair_blocks
 
 PAULIS = [
@@ -53,3 +67,52 @@ def test_stacked_inverses_match_single_inverses(y, conv):
     stacked = inverse_pair_blocks(pair, conv)
     for r in (1, 2, 3, 4):
         assert np.array_equal(stacked[r - 1], inverse_sub_matrix(pair, r, conv))
+
+
+@given(coefficients, conventions)
+def test_blocks_are_kraus_complete(y, conv):
+    """sum_r B_r^dagger B_r = 2 |y|^2 I: the four results together lose nothing."""
+    pair = EntangledPair(np.array(y))
+    blocks = pair_blocks(pair, conv)
+    total = np.einsum("rji,rjk->ik", blocks.conj(), blocks)
+    scale = 2.0 * pair.squared_norm()
+    assert np.abs(total - scale * np.eye(2)).max() <= 1e-12 * scale
+
+
+@st.composite
+def hard_instances(draw):
+    """Normalized instances of 1 to 3 qubits, each pair's |det| log-uniform in [1e-12, 0.5]."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    conv = draw(conventions)
+    log_dets = draw(
+        st.lists(st.floats(min_value=-12.0, max_value=math.log10(0.5)), min_size=n, max_size=n)
+    )
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = tuple(pair_with_abs_det(rng, 10.0**d) for d in log_dets)
+    return TeleportationInstance(random_state(n, rng), Channel(pairs), conv)
+
+
+def probabilities(inst: TeleportationInstance) -> np.ndarray:
+    return np.array([r.probability for r in enumerate_outcomes(inst, compute_recovery=False)])
+
+
+@settings(max_examples=50)
+@given(hard_instances())
+def test_probabilities_sum_to_one(inst):
+    assert abs(probabilities(inst).sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=50)
+@given(hard_instances())
+def test_blocks_agree_with_the_oracle(inst):
+    assert cross_check(inst).max_abs_diff <= 1e-10
+
+
+@settings(max_examples=50)
+@given(hard_instances(), st.floats(min_value=0.0, max_value=2 * math.pi))
+def test_probabilities_ignore_a_global_phase(inst, phase):
+    amps = np.exp(1j * phase) * inst.input_state.amps
+    turned = TeleportationInstance(
+        StateVector(inst.num_qubits, amps), inst.channel, inst.convention
+    )
+    assert np.abs(probabilities(turned) - probabilities(inst)).max() <= 1e-14

@@ -191,6 +191,12 @@ class TestChannelCriterion:
         assert report.failed_pairs == (2,)
         assert not report.pairs[1].invertible
 
+    def test_unnormalized_pair_rejected(self):
+        """Accepted, the pair (2, 0, 0, 2) reported concurrence 8 and unitary scale 2."""
+        ch = Channel((EntangledPair(np.array([2, 0, 0, 2], dtype=complex)),))
+        with pytest.raises(ValueError, match=r"^channel pair 1 must have unit norm, got 2\.82843$"):
+            channel_criterion(ch)
+
     def test_partially_entangled_pair_is_invertible_but_not_unitary(self):
         report = channel_criterion(Channel((diagonal_pair(0.8, 0.6),)))
         assert report.success
