@@ -22,7 +22,8 @@ from belldecomp import (
     random_state,
     rearrange_for_measurement,
 )
-from belldecomp.oracle import _reconstruction_diff
+from belldecomp import oracle
+from belldecomp.oracle import _BELL_BRAS, _project, _reconstruction_diff
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -141,6 +142,62 @@ class TestBellProject:
             bell_project(rs, (1, 2))
 
 
+def outcomes(n: int):
+    return list(itertools.product((1, 2, 3, 4), repeat=n))
+
+
+def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
+    """Max |diff| and the first outcome reaching it, one ``bell_project`` per outcome."""
+    rs = rearrange_for_measurement(joint_state(inst), inst)
+    predicted, _ = oracle._outcome_table(inst)
+    max_diff, worst = -1.0, ()
+    for out, row in zip(outcomes(inst.num_qubits), predicted):
+        diff = float(np.abs(bell_project(rs, out).amps - row).max())
+        if diff > max_diff:
+            max_diff, worst = diff, out
+    return max_diff, worst
+
+
+class TestProjectAllOutcomes:
+    def test_rows_match_bell_project(self):
+        rng = np.random.default_rng(86)
+        for n in (1, 2, 3, 4):
+            for conv in (BHF, BHS):
+                inst = random_instance(n, rng, conv)
+                rs = rearrange_for_measurement(joint_state(inst), inst)
+                table = _project(rs.amps, [_BELL_BRAS] * n)
+                assert table.shape == (4**n, 1 << n)
+                for row, out in zip(table, outcomes(n)):
+                    np.testing.assert_allclose(
+                        row, bell_project(rs, out).amps, rtol=0, atol=1e-15
+                    )
+
+    def test_cross_check_matches_the_per_outcome_loop(self):
+        rng = np.random.default_rng(87)
+        for n in (1, 2, 3, 4):
+            for conv in (BHF, BHS):
+                inst = random_instance(n, rng, conv)
+                report = cross_check(inst)
+                assert (report.max_abs_diff, report.worst_outcome) == reference_cross_check(inst)
+                assert report.passed and report.max_abs_diff <= 1e-12
+
+    def test_ties_go_to_the_first_outcome(self, monkeypatch):
+        """Two rows, in different chunks, miss by the same amount; the earlier one is named."""
+        n = 3
+        inst = TeleportationInstance(
+            StateVector(n, np.eye(1 << n)[0]), Channel((mes_pair(),) * n), BHS
+        )
+        rs = rearrange_for_measurement(joint_state(inst), inst)
+        exact = np.array([bell_project(rs, out).amps for out in outcomes(n)])
+        assert len(set(np.abs(exact).max(axis=1).tolist())) == 1
+        predicted = exact.copy()
+        predicted[[21, 50]] = 0.0
+        monkeypatch.setattr(oracle, "_outcome_table", lambda _: (predicted, None))
+        report = cross_check(inst)
+        assert report.worst_outcome == outcomes(n)[21] == reference_cross_check(inst)[1]
+        assert report.max_abs_diff == float(np.abs(exact[21]).max()) > 0.0
+
+
 class TestCrossCheck:
     def test_random_instances_agree(self):
         rng = np.random.default_rng(80)
@@ -178,6 +235,22 @@ class TestCrossCheck:
             for out in itertools.product((1, 2, 3, 4), repeat=2)
         )
         assert worst > 1e-2
+
+    @pytest.mark.parametrize("row", [5, 62])
+    def test_names_a_wrong_prediction(self, monkeypatch, row):
+        """A row off by 1e-6, in the first or the last quarter of the outcomes."""
+        real = oracle._outcome_table
+
+        def perturbed(inst):
+            table, probs = real(inst)
+            table[row, 1] += 1e-6
+            return table, probs
+
+        monkeypatch.setattr(oracle, "_outcome_table", perturbed)
+        report = cross_check(random_instance(3, np.random.default_rng(88), BHF))
+        assert report.passed is False
+        assert report.worst_outcome == outcomes(3)[row]
+        assert report.max_abs_diff == pytest.approx(1e-6, abs=1e-12)
 
     def test_report_fields(self):
         inst = random_instance(1, np.random.default_rng(83), BHS)

@@ -1,5 +1,6 @@
-"""Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, and
-Born probabilities and oracle agreement on normalized instances with near-singular pairs."""
+"""Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, Born
+probabilities and oracle agreement on normalized instances with near-singular pairs, and
+one verdict on invertibility for a pair exactly at the tolerance."""
 
 import math
 
@@ -14,12 +15,17 @@ from test_protocol import pair_with_abs_det
 from belldecomp import (
     Channel,
     EntangledPair,
+    NotInvertibleError,
     PairingConvention,
     StateVector,
     TeleportationInstance,
+    channel_criterion,
+    collapsed_state,
     cross_check,
     enumerate_outcomes,
+    pair_determinant,
     random_state,
+    recover,
     sub_matrix,
 )
 from belldecomp.decomposition import SIGMA, inverse_pair_blocks, inverse_sub_matrix, pair_blocks
@@ -116,3 +122,32 @@ def test_probabilities_ignore_a_global_phase(inst, phase):
         StateVector(inst.num_qubits, amps), inst.channel, inst.convention
     )
     assert np.abs(probabilities(turned) - probabilities(inst)).max() <= 1e-14
+
+
+@settings(max_examples=50)
+@given(hard_instances(), st.data())
+def test_a_pair_exactly_at_the_tolerance_is_not_invertible(inst, data):
+    """With tol = |det| of the most singular pair, the criterion, recovery and enumeration
+    all reject that pair; one float below it, all three accept it."""
+    dets = [abs(pair_determinant(p)) for p in inst.channel.pairs]
+    at = min(dets)
+    assume(dets.count(at) == 1)
+    pair = dets.index(at) + 1
+    out = data.draw(st.tuples(*[results] * inst.num_qubits))
+    collapsed = collapsed_state(inst, out)
+
+    report = channel_criterion(inst.channel, at)
+    assert (report.success, report.failed_pairs) == (False, (pair,))
+    with pytest.raises(NotInvertibleError) as err:
+        recover(collapsed, inst, out, at)
+    assert err.value.pair_indices == (pair,)
+    records = enumerate_outcomes(inst, at)
+    assert {(r.invertible, r.recovered_fidelity) for r in records} == {(False, None)}
+
+    below = np.nextafter(at, 0.0)
+    assert channel_criterion(inst.channel, below).success
+    _, fid = recover(collapsed, inst, out, below)
+    assert 0.0 <= fid <= 1.0
+    records = enumerate_outcomes(inst, below)
+    assert all(r.invertible for r in records)
+    assert all(r.recovered_fidelity is not None for r in records if r.probability > 0.0)
