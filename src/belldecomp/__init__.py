@@ -35,6 +35,7 @@ from .protocol import (
     ENUMERATION_CAP,
     ChannelReport,
     OutcomeRecord,
+    OutcomeTable,
     PairDiagnostics,
     TeleportationInstance,
     channel_criterion,
@@ -68,6 +69,7 @@ __all__ = [
     "NotInvertibleError",
     "ORACLE_CAP",
     "OutcomeRecord",
+    "OutcomeTable",
     "PairDiagnostics",
     "PairingConvention",
     "StateVector",

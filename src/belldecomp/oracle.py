@@ -16,7 +16,6 @@ one pass per pair, a quarter of the outcomes at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channel import bell_state
 from .decomposition import PairingConvention, validate_outcome
-from .protocol import OutcomeRecord, TeleportationInstance, _outcome_table
+from .protocol import OutcomeTable, TeleportationInstance, _outcome_table
 from .tensor import DEFAULT_EQ_TOL, StateVector, permute_qubits
 
 __all__ = [
@@ -178,17 +177,15 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
     )
 
 
-def _reconstruction_diff(inst: TeleportationInstance, records: list[OutcomeRecord]) -> float:
-    """Max |sum over outcomes of Bell bras (x) collapsed states - rearranged joint state|.
+def _reconstruction_diff(inst: TeleportationInstance, table: OutcomeTable) -> float:
+    """Max |sum over outcomes of Bell states (x) collapsed states - rearranged joint state|.
 
-    The sum is taken one pair at a time: contracting pair i's result axis
-    against the four Bell states turns it into that pair's two measured qubits.
+    The sum runs through ``_project`` one pair at a time: with the four Bell
+    states as the columns of its (4, 4) "bras", contracting pair i's result
+    axis turns it into that pair's two measured qubits.
     """
-    n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
-    t = np.array([r.collapsed.amps * math.sqrt(r.probability) for r in records])
-    t = t.reshape((4,) * n + (1 << n,))
-    bells = np.array([bell_state(a) for a in (1, 2, 3, 4)])
-    for axis in range(n):
-        t = np.moveaxis(np.tensordot(bells, t, axes=(0, axis)), 0, axis)
-    return float(np.abs(t.reshape(-1) - rs.amps).max())
+    t = table.collapsed * np.sqrt(table.probabilities)[:, None]
+    kets = np.array([bell_state(a) for a in (1, 2, 3, 4)]).T
+    rebuilt = _project(t, [kets] * inst.num_qubits)
+    return float(np.abs(rebuilt.reshape(-1) - rs.amps).max())

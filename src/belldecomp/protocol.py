@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "ENUMERATION_CAP",
     "TeleportationInstance",
     "OutcomeRecord",
+    "OutcomeTable",
     "PairDiagnostics",
     "ChannelReport",
     "collapsed_state",
@@ -335,36 +337,79 @@ def _recovery_fidelities(
     return np.minimum(fid, 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class OutcomeTable(Sequence[OutcomeRecord]):
+    """All 4^N outcomes of one instance as read-only arrays.
+
+    Row k of every array is the k-th outcome in lexicographic order of the
+    per-pair results.  ``collapsed`` (4^N, 2^N) holds the normalized collapsed
+    states, with zero rows where the probability is 0.  ``fidelities`` is NaN
+    where recovery is undefined: zero probability, a non-invertible channel,
+    or recovery not computed.  As a sequence it yields one ``OutcomeRecord``
+    per row, built on demand; indices are integers, negative ones included.
+    """
+
+    probabilities: np.ndarray
+    collapsed: np.ndarray
+    fidelities: np.ndarray
+    invertible: bool
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, index: int) -> OutcomeRecord:
+        k = operator.index(index)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"outcome index {index} out of range for {len(self)} outcomes")
+        k %= len(self)
+        n = self.collapsed.shape[1].bit_length() - 1
+        fid = float(self.fidelities[k])
+        return OutcomeRecord(
+            tuple(int(d) + 1 for d in np.unravel_index(k, (4,) * n)),
+            float(self.probabilities[k]),
+            StateVector(n, self.collapsed[k]),
+            None if math.isnan(fid) else fid,
+            self.invertible,
+        )
+
+    def __iter__(self) -> Iterator[OutcomeRecord]:
+        n = self.collapsed.shape[1].bit_length() - 1
+        for out, p, amps, fid in zip(
+            itertools.product((1, 2, 3, 4), repeat=n),
+            self.probabilities.tolist(),
+            self.collapsed,
+            self.fidelities.tolist(),
+        ):
+            yield OutcomeRecord(
+                out, p, StateVector(n, amps), None if math.isnan(fid) else fid, self.invertible
+            )
+
+
 def enumerate_outcomes(
     inst: TeleportationInstance,
     tol: float = DEFAULT_INVERTIBILITY_TOL,
     compute_recovery: bool = True,
-) -> list[OutcomeRecord]:
-    """All 4^N outcome records in lexicographic order of the per-pair results.
+) -> OutcomeTable:
+    """All 4^N outcomes in lexicographic order of the per-pair results.
 
     For a normalized instance the probabilities sum to 1 up to float error.
-    Every record's ``collapsed`` amplitudes are a row view into one read-only
-    (4^N, 2^N) table of normalized states, 16 * 8^N bytes in all.
+    The collapsed states take 16 * 8^N bytes; every record's ``collapsed``
+    amplitudes are a row view of that one array.
     """
-    n = inst.num_qubits
     table, probs = _outcome_table(inst)
     norms = np.sqrt(probs)
     zero = norms == 0.0
     norms[zero] = 1.0
     table /= norms[:, None]
     table[zero] = 0.0
-    table.flags.writeable = False
     invertible = not _non_invertible_pairs(inst.channel, tol)
     if compute_recovery and invertible:
-        fids = _recovery_fidelities(inst, table, tol).tolist()
+        fids = _recovery_fidelities(inst, table, tol)
     else:
-        fids = [None] * len(table)
-    return [
-        OutcomeRecord(out, p, StateVector(n, amps), fid if p > 0.0 else None, invertible)
-        for out, p, amps, fid in zip(
-            itertools.product((1, 2, 3, 4), repeat=n), probs.tolist(), table, fids
-        )
-    ]
+        fids = np.full(len(table), np.nan)
+    for a in (probs, table, fids):
+        a.flags.writeable = False
+    return OutcomeTable(probs, table, fids, invertible)
 
 
 def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:

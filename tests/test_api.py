@@ -14,7 +14,7 @@ MODULES = ["channel", "cli", "decomposition", "oracle", "protocol", "tensor"]
 PUBLIC = {
     "Channel", "ChannelReport", "CrossCheckReport", "DecompositionMatrix",
     "DEFAULT_EQ_TOL", "DEFAULT_INVERTIBILITY_TOL", "ENUMERATION_CAP", "EntangledPair",
-    "NotInvertibleError", "ORACLE_CAP", "OutcomeRecord", "PairDiagnostics",
+    "NotInvertibleError", "ORACLE_CAP", "OutcomeRecord", "OutcomeTable", "PairDiagnostics",
     "PairingConvention", "StateVector", "TeleportationInstance", "bell_project",
     "bell_state", "channel_criterion", "collapsed_state", "concurrence",
     "cross_check", "decomposition_matrix", "enumerate_outcomes", "fidelity",

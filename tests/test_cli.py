@@ -13,6 +13,10 @@ from belldecomp import cli
 from belldecomp.channel import NORM_WARN_TOL
 from belldecomp.oracle import ORACLE_CAP
 
+# Golden CLI outputs and the inputs of the sweep that made them.
+DATA = Path(__file__).parent / "data"
+CONVENTIONS = ["bob-holds-first", "bob-holds-second"]
+
 
 def write_state(path, num_qubits, amps):
     path.write_text(
@@ -321,6 +325,30 @@ class TestSweep:
         assert len(lines) == 1 + 3 * 16
         # theta = 0 makes pair 2 a product pair: min |det| over pairs is 0
         assert float(lines[1].split(",")[3]) == 0.0
+
+
+class TestGoldenOutput:
+    """stdout byte for byte against outputs captured from the CLI at commit 4118d51.
+
+    The bundled fixture's directory is written as ``{fixtures}`` in the
+    captured ``verify`` reports.  Regenerate a file only for an intended
+    change of output, and say so in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    def test_verify_on_the_bundled_fixture(self, conv, capsys):
+        assert cli.main(["verify", "--convention", conv, "--random-instances", "2"]) == 0
+        out = capsys.readouterr().out
+        out = out.replace(str(cli.DEFAULT_STATE_FIXTURE.parent), "{fixtures}")
+        assert out.encode() == (DATA / f"verify_{conv}.txt").read_bytes()
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    def test_sweep_of_a_seeded_two_qubit_instance(self, conv, capsys):
+        argv = ["sweep", "--convention", conv, "--pair", "2",
+                "--state", str(DATA / "sweep2_state.json"),
+                "--channel", str(DATA / "sweep2_channel.json")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / f"sweep_{conv}.csv").read_bytes()
 
 
 class TestClosedPipe:

@@ -9,6 +9,7 @@ import pytest
 from belldecomp import (
     Channel,
     EntangledPair,
+    OutcomeTable,
     PairingConvention,
     StateVector,
     TeleportationInstance,
@@ -274,6 +275,12 @@ class TestCrossCheck:
 
     def test_reconstruction_diff_sees_swapped_records(self):
         inst = random_instance(2, np.random.default_rng(85), BHS)
-        records = enumerate_outcomes(inst)
-        records[0], records[5] = records[5], records[0]
-        assert _reconstruction_diff(inst, records) > 1e-3
+        table = enumerate_outcomes(inst)
+        swap = [5, 1, 2, 3, 4, 0, *range(6, 16)]
+        swapped = OutcomeTable(
+            table.probabilities[swap],
+            table.collapsed[swap],
+            table.fidelities[swap],
+            table.invertible,
+        )
+        assert _reconstruction_diff(inst, swapped) > 1e-3

@@ -1,6 +1,9 @@
 """Tests for collapsed states, probabilities, recovery, enumeration and sampling."""
 
+import dataclasses
 import itertools
+import math
+from collections.abc import Sequence
 from functools import reduce
 
 import numpy as np
@@ -410,6 +413,74 @@ class TestOutcomeTable:
             assert not r.collapsed.amps.flags.writeable
         with pytest.raises(ValueError):
             records[5].collapsed.amps[0] = 1.0
+
+    @staticmethod
+    def fields(rec):
+        """A record's fields, with the amplitudes as bytes so equality is bit for bit."""
+        return (
+            rec.outcome,
+            rec.probability,
+            rec.collapsed.amps.tobytes(),
+            rec.recovered_fidelity,
+            rec.invertible,
+        )
+
+    @pytest.mark.parametrize("make", [hard_instance, degenerate_instance])
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_records_are_the_rows_of_the_arrays(self, n, conv, make):
+        """Record k carries row k of each array, and its amplitudes are exactly the
+        per-outcome ``collapsed_state`` divided by the square root of its probability."""
+        inst = make(n, conv, seed=100 + n)
+        table = enumerate_outcomes(inst)
+        assert isinstance(table, Sequence) and len(table) == 4**n
+        assert table.collapsed.shape == (4**n, 2**n)
+        assert table.probabilities.shape == table.fidelities.shape == (4**n,)
+        undefined = (table.probabilities == 0.0) | (not table.invertible)
+        assert np.array_equal(np.isnan(table.fidelities), undefined)
+        for k, out in enumerate(itertools.product((1, 2, 3, 4), repeat=n)):
+            rec = table[k]
+            p = table.probabilities[k]
+            c = collapsed_state(inst, out).amps
+            expected = c / math.sqrt(p) if p > 0.0 else np.zeros_like(c)
+            assert rec.outcome == out
+            assert type(rec.probability) is float and rec.probability == p
+            assert np.array_equal(rec.collapsed.amps, expected)
+            assert np.array_equal(table.collapsed[k], expected)
+            assert (rec.recovered_fidelity is None) == bool(np.isnan(table.fidelities[k]))
+            if rec.recovered_fidelity is not None:
+                assert rec.recovered_fidelity == table.fidelities[k]
+            assert rec.invertible == table.invertible
+
+    @pytest.mark.parametrize("make", [hard_instance, degenerate_instance])
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_iteration_and_indexing_give_equal_records(self, n, conv, make):
+        table = enumerate_outcomes(make(n, conv, seed=110 + n))
+        records = [self.fields(r) for r in table]
+        assert len(records) == len(table)
+        for k, rec in enumerate(records):
+            assert self.fields(table[k]) == rec
+            assert self.fields(table[np.int64(k)]) == rec
+            assert self.fields(table[k - len(table)]) == rec
+        assert self.fields(table[-1]) == records[-1]
+        for k in (len(table), -len(table) - 1):
+            with pytest.raises(IndexError):
+                table[k]
+
+    def test_arrays_are_read_only(self):
+        table = enumerate_outcomes(hard_instance(2, BHF, seed=120))
+        for a in (table.probabilities, table.collapsed, table.fidelities):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.invertible = False
+
+    def test_without_recovery_every_fidelity_is_undefined(self):
+        table = enumerate_outcomes(hard_instance(2, BHS, seed=121), compute_recovery=False)
+        assert table.invertible and np.isnan(table.fidelities).all()
+        assert all(r.recovered_fidelity is None for r in table)
 
     def test_seed_to_outcome_mapping_matches_per_outcome_probabilities(self):
         """The draw inverts the same cumulative distribution the per-outcome path gives."""
