@@ -9,12 +9,10 @@ from .channel import (
     Channel,
     EntangledPair,
     bell_state,
-    concurrence,
     pair_determinant,
 )
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
-    DecompositionMatrix,
     NotInvertibleError,
     PairingConvention,
     decomposition_matrix,
@@ -61,7 +59,6 @@ __all__ = [
     "Channel",
     "ChannelReport",
     "CrossCheckReport",
-    "DecompositionMatrix",
     "DEFAULT_EQ_TOL",
     "DEFAULT_INVERTIBILITY_TOL",
     "ENUMERATION_CAP",
@@ -78,7 +75,6 @@ __all__ = [
     "bell_state",
     "channel_criterion",
     "collapsed_state",
-    "concurrence",
     "cross_check",
     "decomposition_matrix",
     "enumerate_outcomes",

@@ -12,7 +12,6 @@ __all__ = [
     "Channel",
     "bell_state",
     "pair_determinant",
-    "concurrence",
 ]
 
 # A state or pair whose norm deviates from 1 by more than this is off unit
@@ -87,9 +86,4 @@ def pair_determinant(pair: EntangledPair) -> complex:
     """
     y = pair.y
     return complex(y[0] * y[3] - y[1] * y[2])
-
-
-def concurrence(pair: EntangledPair) -> float:
-    """2*|det| of the coefficient matrix; the usual measure for normalized pairs."""
-    return 2.0 * abs(pair_determinant(pair))
 

@@ -25,9 +25,8 @@ from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
     PairingConvention,
-    decomposition_matrix,
     inverse_sub_matrix,
-    sub_matrix,
+    pair_blocks,
     validate_outcome,
 )
 from .oracle import _reconstruction_diff, cross_check
@@ -206,13 +205,14 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     for line in crit_lines:
         print(line)
     print()
-    for i, (pair, a) in enumerate(zip(channel.pairs, outcome), start=1):
+    stacks = [pair_blocks(p, convention) for p in channel.pairs]
+    blocks = [s[a - 1] for s, a in zip(stacks, outcome)]
+    for i, (a, block) in enumerate(zip(outcome, blocks), start=1):
         print(f"block for pair {i}, result {a}:")
-        print(_fmt_matrix(sub_matrix(pair, a, convention)))
-    dm = decomposition_matrix(channel, outcome, convention)
+        print(_fmt_matrix(block))
     print()
     print(f"decomposition matrix ({1 << n}x{1 << n}, tensor product of the blocks above):")
-    print(_fmt_matrix(dm.matrix))
+    print(_fmt_matrix(reduce(np.kron, blocks)))
     print()
     try:
         inverses = [
@@ -226,10 +226,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(_fmt_matrix(reduce(np.kron, inverses)))
     print()
     print("full block table:")
-    for i, pair in enumerate(channel.pairs, start=1):
-        for a in (1, 2, 3, 4):
+    for i, stack in enumerate(stacks, start=1):
+        for a, block in enumerate(stack, start=1):
             print(f"pair {i}, result {a}:")
-            print(_fmt_matrix(sub_matrix(pair, a, convention)))
+            print(_fmt_matrix(block))
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ these blocks; the protocol module applies it once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from enum import Enum
 from functools import reduce
 from typing import Iterable, Sequence
@@ -40,7 +40,6 @@ __all__ = [
     "validate_outcome",
     "sub_matrix",
     "pair_blocks",
-    "DecompositionMatrix",
     "decomposition_matrix",
     "inverse_sub_matrix",
     "inverse_pair_blocks",
@@ -49,6 +48,9 @@ __all__ = [
 
 # A pair whose |det| falls at or below this is treated as non-invertible.
 DEFAULT_INVERTIBILITY_TOL = 1e-9
+
+# Singular values closer than this make a block proportional to a unitary.
+_UNITARY_TOL = 1e-10
 
 # Bell measurement result for each pair, entries in 1..4.
 BellOutcome = tuple[int, ...]
@@ -84,9 +86,16 @@ class NotInvertibleError(ValueError):
         self.pair_indices = tuple(pair_indices)
 
 
+def _bell_result(a) -> int:
+    """``a`` as an int when it is an integer, numpy's included, and not a bool."""
+    if isinstance(a, (bool, np.bool_)) or not hasattr(type(a), "__index__"):
+        raise ValueError(f"Bell results must be integers, got {a!r}")
+    return operator.index(a)
+
+
 def validate_outcome(outcome: Sequence[int], num_pairs: int) -> BellOutcome:
-    """Coerce to a tuple of ints and check length and 1..4 range."""
-    out = tuple(int(a) for a in outcome)
+    """The integer results as a tuple of ints, after checking length and 1..4 range."""
+    out = tuple(_bell_result(a) for a in outcome)
     if len(out) != num_pairs:
         raise ValueError(f"outcome length {len(out)} does not match {num_pairs} pair(s)")
     if any(a < 1 or a > 4 for a in out):
@@ -94,9 +103,9 @@ def validate_outcome(outcome: Sequence[int], num_pairs: int) -> BellOutcome:
     return out
 
 
-def _check_bell_index(bell_index: int) -> None:
-    if bell_index not in (1, 2, 3, 4):
-        raise ValueError(f"Bell result must be in 1..4, got {bell_index}")
+def _invertible(det: complex, tol: float) -> bool:
+    """Whether a pair of determinant ``det`` has inverse blocks: |det| above ``tol``."""
+    return abs(det) > tol
 
 
 def _coefficient_matrix(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
@@ -108,50 +117,58 @@ def _coefficient_matrix(pair: EntangledPair, convention: PairingConvention) -> n
     raise ValueError(f"unknown convention {convention!r}")
 
 
-def sub_matrix(pair: EntangledPair, bell_index: int, convention: PairingConvention) -> np.ndarray:
-    """2x2 block the receiver's qubit picks up for one pair and one Bell result."""
-    _check_bell_index(bell_index)
-    return _coefficient_matrix(pair, convention) @ SIGMA[bell_index - 1]
-
-
 def pair_blocks(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
-    """The pair's four blocks stacked as (4, 2, 2); entry r - 1 is ``sub_matrix(pair, r, ...)``."""
+    """The pair's four blocks M @ sigma_r stacked as (4, 2, 2), entry r - 1 for result r."""
     return _coefficient_matrix(pair, convention) @ SIGMA
 
 
-@dataclass(frozen=True)
-class DecompositionMatrix:
-    """Tensor product of per-pair blocks for one full measurement outcome."""
-
-    matrix: np.ndarray
-    outcome: BellOutcome
-    convention: PairingConvention
+def sub_matrix(pair: EntangledPair, bell_index: int, convention: PairingConvention) -> np.ndarray:
+    """2x2 block the receiver's qubit picks up for one pair and one Bell result."""
+    (r,) = validate_outcome((bell_index,), 1)
+    return pair_blocks(pair, convention)[r - 1]
 
 
 def decomposition_matrix(
     channel: Channel, outcome: Sequence[int], convention: PairingConvention
-) -> DecompositionMatrix:
-    """Build the 2^N x 2^N map as the tensor product of per-pair blocks.
+) -> np.ndarray:
+    """The 2^N x 2^N map of one outcome: the tensor product of per-pair blocks.
 
     Factor i acts on the receiver's qubit from pair i, the first factor on
     the most significant bit.
     """
     out = validate_outcome(outcome, len(channel.pairs))
-    blocks = [sub_matrix(p, a, convention) for p, a in zip(channel.pairs, out)]
-    return DecompositionMatrix(reduce(np.kron, blocks), out, convention)
+    return reduce(
+        np.kron, [pair_blocks(p, convention)[r - 1] for p, r in zip(channel.pairs, out)]
+    )
 
 
 def _inverse_coefficient_matrix(
     pair: EntangledPair, convention: PairingConvention, tol: float
 ) -> np.ndarray:
     """M^-1 by the 2x2 adjugate, after the pair determinant check."""
-    if abs(pair_determinant(pair)) <= tol:
+    det = pair_determinant(pair)
+    if not _invertible(det, tol):
         raise NotInvertibleError(
-            f"pair determinant magnitude {abs(pair_determinant(pair)):.3e} is <= {tol:.3e}; "
+            f"pair determinant magnitude {abs(det):.3e} is <= {tol:.3e}; "
             "no recovery transform exists"
         )
     (a, b), (c, d) = _coefficient_matrix(pair, convention)
     return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+
+
+def inverse_pair_blocks(
+    pair: EntangledPair,
+    convention: PairingConvention,
+    tol: float = DEFAULT_INVERTIBILITY_TOL,
+) -> np.ndarray:
+    """The inverses sigma_r^-1 @ M^-1 of the pair's four blocks stacked as (4, 2, 2).
+
+    Every block of a pair has determinant +-(Y1*Y4 - Y2*Y3), so a single
+    near-zero check on the pair determinant covers all four results.  The
+    inverses are generally NOT unitary; they are scaled unitaries exactly
+    when the pair is maximally entangled.
+    """
+    return _SIGMA_INV @ _inverse_coefficient_matrix(pair, convention, tol)
 
 
 def inverse_sub_matrix(
@@ -160,35 +177,18 @@ def inverse_sub_matrix(
     convention: PairingConvention,
     tol: float = DEFAULT_INVERTIBILITY_TOL,
 ) -> np.ndarray:
-    """Exact 2x2 inverse of ``sub_matrix``: sigma_r^-1 @ M^-1.
-
-    Every block of a pair has determinant +-(Y1*Y4 - Y2*Y3), so a single
-    near-zero check on the pair determinant covers all four results.  The
-    inverse is generally NOT unitary; it is a scaled unitary exactly when
-    the pair is maximally entangled.
-    """
-    _check_bell_index(bell_index)
-    return _SIGMA_INV[bell_index - 1] @ _inverse_coefficient_matrix(pair, convention, tol)
+    """Exact 2x2 inverse of ``sub_matrix``, entry r - 1 of ``inverse_pair_blocks``."""
+    (r,) = validate_outcome((bell_index,), 1)
+    return inverse_pair_blocks(pair, convention, tol)[r - 1]
 
 
-def inverse_pair_blocks(
-    pair: EntangledPair,
-    convention: PairingConvention,
-    tol: float = DEFAULT_INVERTIBILITY_TOL,
-) -> np.ndarray:
-    """The inverses of the pair's four blocks stacked as (4, 2, 2), M inverted once."""
-    return _SIGMA_INV @ _inverse_coefficient_matrix(pair, convention, tol)
-
-
-def is_proportional_to_unitary(
-    m: np.ndarray, tol: float = 1e-10
-) -> tuple[bool, float | None]:
+def is_proportional_to_unitary(m: np.ndarray) -> tuple[bool, float | None]:
     """Whether a 2x2 block is a scalar multiple of a unitary.
 
-    True exactly when both singular values agree within ``tol``; the second
+    True exactly when both singular values agree within 1e-10; the second
     element is then that common singular value (the scale), otherwise None.
     """
     s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False)
-    if abs(s[0] - s[1]) <= tol:
+    if abs(s[0] - s[1]) <= _UNITARY_TOL:
         return True, float(s.mean())
     return False, None

@@ -123,11 +123,10 @@ def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
     squared norms add up to the total squared norm of ``rs``.  This is the
     one-row case of the projection ``cross_check`` makes of all outcomes.
     """
-    out = tuple(int(a) for a in outcome)
+    out = validate_outcome(outcome, len(outcome))
     n = len(out)
     if rs.num_qubits != 3 * n:
         raise ValueError(f"state has {rs.num_qubits} qubit(s), expected {3 * n}")
-    validate_outcome(out, n)
     return StateVector(n, _project(rs.amps, [_BELL_BRAS[a - 1 : a] for a in out]))
 
 

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NORM_WARN_TOL, Channel, EntangledPair, concurrence, pair_determinant
+from .channel import NORM_WARN_TOL, Channel, EntangledPair, pair_determinant
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
+    _invertible,
     inverse_pair_blocks,
     is_proportional_to_unitary,
     pair_blocks,
@@ -109,31 +110,38 @@ def _contract_pair(
     return moved
 
 
+def _contract_outcome(
+    stacks: Sequence[np.ndarray], outcome: BellOutcome, t: np.ndarray
+) -> StateVector:
+    """Each pair's block for its result in ``outcome``, applied to the amplitudes ``t``.
+
+    The one-row case of the table passes: each pair's block stack is cut to
+    the outcome's result, and with one result per pair the interleaved layout
+    of the last contraction is already the amplitudes in order.
+    """
+    n = len(outcome)
+    buf, out = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
+    for s, r in zip(stacks, outcome):
+        t = _contract_pair(s[r - 1 : r], t.reshape(2, -1), buf, out)
+    return StateVector(n, out)
+
+
 def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> StateVector:
     """Receiver's register right after the given measurement outcome, unnormalized.
 
     Equals (1/sqrt2)^N times the outcome's block tensor product applied to the
     input amplitudes; its squared norm is the Born probability of the outcome.
-    This is the one-row case of ``_outcome_table``: each pair's block stack is
-    cut to the outcome's result, and with one result per pair the interleaved
-    layout of the last contraction is already the amplitudes in order.
+    Row k of ``_outcome_table`` is this for the k-th outcome.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
-    blocks = [
-        pair_blocks(p, inst.convention)[r - 1 : r] for p, r in zip(inst.channel.pairs, out)
-    ]
-    t = inst.input_state.amps * math.sqrt(0.5) ** n
-    buf, amps = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
-    for b in blocks:
-        t = _contract_pair(b, t.reshape(2, -1), buf, amps)
-    return StateVector(n, amps)
+    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
+    return _contract_outcome(stacks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
 
 
 def _non_invertible_pairs(channel: Channel, tol: float) -> tuple[int, ...]:
-    return tuple(
-        i for i, p in enumerate(channel.pairs, start=1) if abs(pair_determinant(p)) <= tol
-    )
+    dets = map(pair_determinant, channel.pairs)
+    return tuple(i for i, d in enumerate(dets, start=1) if not _invertible(d, tol))
 
 
 def recover(
@@ -159,15 +167,8 @@ def recover(
             "recovery transform does not exist",
             pair_indices=bad,
         )
-    blocks = [
-        inverse_pair_blocks(p, inst.convention, tol)[r - 1 : r]
-        for p, r in zip(inst.channel.pairs, out)
-    ]
-    t = collapsed.amps
-    buf, amps = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
-    for b in blocks:
-        t = _contract_pair(b, t.reshape(2, -1), buf, amps)
-    recovered = StateVector(n, amps).normalized()
+    stacks = [inverse_pair_blocks(p, inst.convention, tol) for p in inst.channel.pairs]
+    recovered = _contract_outcome(stacks, out, collapsed.amps).normalized()
     return recovered, fidelity(recovered, inst.input_state)
 
 
@@ -215,8 +216,8 @@ def channel_criterion(channel: Channel, tol: float = DEFAULT_INVERTIBILITY_TOL) 
             PairDiagnostics(
                 index=i,
                 determinant=det,
-                concurrence=concurrence(p),
-                invertible=abs(det) > tol,
+                concurrence=2.0 * abs(det),
+                invertible=_invertible(det, tol),
                 unitary_proportional=unitary,
                 unitary_scale=scale,
             )
@@ -357,32 +358,32 @@ class OutcomeTable(Sequence[OutcomeRecord]):
     def __len__(self) -> int:
         return len(self.probabilities)
 
+    def _record(self, outcome: BellOutcome, p: float, amps: np.ndarray, fid: float):
+        fid = None if math.isnan(fid) else fid
+        return OutcomeRecord(outcome, p, StateVector(len(outcome), amps), fid, self.invertible)
+
     def __getitem__(self, index: int) -> OutcomeRecord:
         k = operator.index(index)
         if not -len(self) <= k < len(self):
             raise IndexError(f"outcome index {index} out of range for {len(self)} outcomes")
         k %= len(self)
         n = self.collapsed.shape[1].bit_length() - 1
-        fid = float(self.fidelities[k])
-        return OutcomeRecord(
+        return self._record(
             tuple(int(d) + 1 for d in np.unravel_index(k, (4,) * n)),
             float(self.probabilities[k]),
-            StateVector(n, self.collapsed[k]),
-            None if math.isnan(fid) else fid,
-            self.invertible,
+            self.collapsed[k],
+            float(self.fidelities[k]),
         )
 
     def __iter__(self) -> Iterator[OutcomeRecord]:
         n = self.collapsed.shape[1].bit_length() - 1
-        for out, p, amps, fid in zip(
+        return map(
+            self._record,
             itertools.product((1, 2, 3, 4), repeat=n),
             self.probabilities.tolist(),
             self.collapsed,
             self.fidelities.tolist(),
-        ):
-            yield OutcomeRecord(
-                out, p, StateVector(n, amps), None if math.isnan(fid) else fid, self.invertible
-            )
+        )
 
 
 def enumerate_outcomes(

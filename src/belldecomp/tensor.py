@@ -46,6 +46,12 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amps", amps)
 
+    def __eq__(self, other: object) -> bool:
+        """Equal qubit counts and exactly equal amplitudes."""
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.num_qubits == other.num_qubits and np.array_equal(self.amps, other.amps)
+
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 

@@ -110,7 +110,7 @@ def test_criterion_2_block_table_parity():
     )
     dm = decomposition_matrix(Channel(pairs), (2, 3, 4), BHF)
     blocks = [sub_matrix(p, r, BHF) for p, r in zip(pairs, (2, 3, 4))]
-    factored = np.array_equal(dm.matrix, np.kron(np.kron(blocks[0], blocks[1]), blocks[2]))
+    factored = np.array_equal(dm, np.kron(np.kron(blocks[0], blocks[1]), blocks[2]))
     report(
         2,
         "block table parity",

@@ -12,11 +12,11 @@ MODULES = ["channel", "cli", "decomposition", "oracle", "protocol", "tensor"]
 # The package's public API.  Pinning it keeps deleted wrappers and helpers
 # from coming back as exports unnoticed.
 PUBLIC = {
-    "Channel", "ChannelReport", "CrossCheckReport", "DecompositionMatrix",
+    "Channel", "ChannelReport", "CrossCheckReport",
     "DEFAULT_EQ_TOL", "DEFAULT_INVERTIBILITY_TOL", "ENUMERATION_CAP", "EntangledPair",
     "NotInvertibleError", "ORACLE_CAP", "OutcomeRecord", "OutcomeTable", "PairDiagnostics",
     "PairingConvention", "StateVector", "TeleportationInstance", "bell_project",
-    "bell_state", "channel_criterion", "collapsed_state", "concurrence",
+    "bell_state", "channel_criterion", "collapsed_state",
     "cross_check", "decomposition_matrix", "enumerate_outcomes", "fidelity",
     "inverse_sub_matrix", "is_proportional_to_unitary", "joint_state", "pair_determinant",
     "permute_qubits", "random_channel", "random_instance", "random_pair", "random_state",

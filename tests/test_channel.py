@@ -7,7 +7,7 @@ from belldecomp import (
     Channel,
     EntangledPair,
     bell_state,
-    concurrence,
+    channel_criterion,
     pair_determinant,
 )
 
@@ -79,7 +79,13 @@ class TestPairDeterminant:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def concurrence(pair: EntangledPair) -> float:
+    return channel_criterion(Channel((pair,))).pairs[0].concurrence
+
+
 class TestConcurrence:
+    """``PairDiagnostics.concurrence``: 2*|det| of the coefficient matrix."""
+
     def test_maximally_entangled_is_one(self):
         assert concurrence(mes_pair()) == pytest.approx(1.0, abs=1e-15)
 

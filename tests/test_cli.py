@@ -328,10 +328,11 @@ class TestSweep:
 
 
 class TestGoldenOutput:
-    """stdout byte for byte against outputs captured from the CLI at commit 4118d51.
+    """stdout byte for byte against outputs captured from the CLI: ``verify`` and
+    ``sweep`` at commit 4118d51, ``decompose`` and ``teleport`` at commit 7d56fdb.
 
     The bundled fixture's directory is written as ``{fixtures}`` in the
-    captured ``verify`` reports.  Regenerate a file only for an intended
+    captured ``verify`` reports.  Byte equality covers signed zeros.  Regenerate a file only for an intended
     change of output, and say so in CHANGES.md.
     """
 
@@ -349,6 +350,28 @@ class TestGoldenOutput:
                 "--channel", str(DATA / "sweep2_channel.json")]
         assert cli.main(argv) == 0
         assert capsys.readouterr().out.encode() == (DATA / f"sweep_{conv}.csv").read_bytes()
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    @pytest.mark.parametrize("variant", ["", "product_"])
+    def test_decompose_of_a_seeded_three_pair_channel(self, conv, variant, capsys):
+        """Outcome 234 on a random channel, and on it with pair 2 made the product pair
+        (1, 0, 0, 0), whose inverse is not available."""
+        channel = DATA / f"decompose3_{variant}channel.json"
+        argv = ["decompose", "--convention", conv, "--outcome", "234", "--channel", str(channel)]
+        assert cli.main(argv) == 0
+        golden = DATA / f"decompose_{variant}{conv}.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    def test_teleport_of_a_seeded_three_qubit_instance(self, conv, capsys):
+        """Seeds 0, 1 and 2, one after another."""
+        for seed in range(3):
+            argv = ["teleport", "--convention", conv, "--seed", str(seed),
+                    "--state", str(DATA / "teleport3_state.json"),
+                    "--channel", str(DATA / "teleport3_channel.json")]
+            assert cli.main(argv) == 0
+        golden = DATA / f"teleport_{conv}.txt"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 class TestClosedPipe:

@@ -10,10 +10,18 @@ from belldecomp import (
     EntangledPair,
     NotInvertibleError,
     PairingConvention,
+    TeleportationInstance,
+    bell_project,
+    collapsed_state,
     decomposition_matrix,
     inverse_sub_matrix,
     is_proportional_to_unitary,
+    joint_state,
+    random_state,
+    rearrange_for_measurement,
+    recover,
     sub_matrix,
+    validate_outcome,
 )
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
@@ -54,6 +62,57 @@ def expected_blocks_second(y) -> list[np.ndarray]:
         np.array([[y3, y1], [y4, y2]]),
         np.array([[y3, -y1], [y4, -y2]]),
     ]
+
+
+def mes_instance() -> TeleportationInstance:
+    state = random_state(2, np.random.default_rng(30))
+    return TeleportationInstance(state, Channel((mes_pair(), mes_pair())), BHS)
+
+
+# Every function that takes Bell results, called with the two given results.
+TAKES_RESULTS = {
+    "validate_outcome": lambda out: validate_outcome(out, 2),
+    "sub_matrix": lambda out: [sub_matrix(mes_pair(), r, BHF) for r in out],
+    "inverse_sub_matrix": lambda out: [inverse_sub_matrix(mes_pair(), r, BHS) for r in out],
+    "decomposition_matrix": lambda out: decomposition_matrix(mes_instance().channel, out, BHF),
+    "collapsed_state": lambda out: collapsed_state(mes_instance(), out),
+    "recover": lambda out: recover(collapsed_state(mes_instance(), (2, 4)), mes_instance(), out),
+    "bell_project": lambda out: bell_project(
+        rearrange_for_measurement(joint_state(mes_instance()), mes_instance()), out
+    ),
+}
+
+
+class TestValidateOutcome:
+    """Bell results must be integers: Python's, numpy's, or anything with ``__index__``."""
+
+    @pytest.mark.parametrize("call", TAKES_RESULTS.values(), ids=TAKES_RESULTS)
+    @pytest.mark.parametrize(
+        "outcome",
+        [(2.7, 1.2), (1.9, 4.99), (2.0, 4), "24", ("2", 4), (True, 4), (2, np.True_), (2, None)],
+        ids=repr,
+    )
+    def test_non_integer_results_are_rejected(self, call, outcome):
+        """Coerced with int(), (2.7, 1.2) used to pass as (2, 1) and "34" as (3, 4)."""
+        with pytest.raises(ValueError, match=r"^Bell results must be integers, got "):
+            call(outcome)
+
+    @pytest.mark.parametrize("call", TAKES_RESULTS.values(), ids=TAKES_RESULTS)
+    @pytest.mark.parametrize(
+        "outcome",
+        [(2, 4), [2, 4], (np.int64(2), np.uint8(4)), np.array([2, 4]), range(2, 5, 2)],
+        ids=repr,
+    )
+    def test_integer_results_are_accepted(self, call, outcome):
+        call(outcome)
+
+    def test_results_come_back_as_ints(self):
+        out = validate_outcome(np.random.default_rng(31).integers(1, 5, 3), 3)
+        assert all(type(r) is int and 1 <= r <= 4 for r in out)
+
+    def test_out_of_range_message(self):
+        with pytest.raises(ValueError, match=r"^Bell results must be in 1\.\.4, got \(5,\)$"):
+            sub_matrix(mes_pair(), 5, BHF)
 
 
 class TestSubMatrix:
@@ -105,7 +164,7 @@ class TestDecompositionMatrix:
         ch = Channel((p, p, p))
         dm = decomposition_matrix(ch, (1, 1, 1), BHF)
         block = sub_matrix(p, 1, BHF)
-        assert np.array_equal(dm.matrix, np.kron(np.kron(block, block), block))
+        assert np.array_equal(dm, np.kron(np.kron(block, block), block))
 
     def test_mixed_outcome_factors(self):
         rng = np.random.default_rng(36)
@@ -113,9 +172,7 @@ class TestDecompositionMatrix:
         ch = Channel(pairs)
         dm = decomposition_matrix(ch, (2, 3, 4), BHS)
         blocks = [sub_matrix(p, r, BHS) for p, r in zip(pairs, (2, 3, 4))]
-        assert np.array_equal(dm.matrix, reduce(np.kron, blocks))
-        assert dm.outcome == (2, 3, 4)
-        assert dm.convention is BHS
+        assert np.array_equal(dm, reduce(np.kron, blocks))
 
     def test_entry_definition(self):
         """The first pair indexes the most significant qubit:
@@ -126,14 +183,14 @@ class TestDecompositionMatrix:
         dm = decomposition_matrix(Channel(pairs), (2, 4), BHF)
         a1, a2 = (sub_matrix(p, r, BHF) for p, r in zip(pairs, (2, 4)))
         for i1, j1, i2, j2 in np.ndindex(2, 2, 2, 2):
-            assert dm.matrix[2 * i1 + i2, 2 * j1 + j2] == pytest.approx(
+            assert dm[2 * i1 + i2, 2 * j1 + j2] == pytest.approx(
                 a1[i1, j1] * a2[i2, j2], abs=1e-15
             )
 
     def test_mes_identity_outcome(self):
         ch = Channel((mes_pair(), mes_pair()))
         dm = decomposition_matrix(ch, (1, 1), BHS)
-        np.testing.assert_allclose(dm.matrix, np.eye(4) / 2.0, atol=1e-15)
+        np.testing.assert_allclose(dm, np.eye(4) / 2.0, atol=1e-15)
 
     def test_determinant_factorizes(self):
         rng = np.random.default_rng(37)
@@ -145,7 +202,7 @@ class TestDecompositionMatrix:
                 np.linalg.det(sub_matrix(p, r, BHF)) for p, r in zip(pairs, outcome)
             ]
             expected = np.prod([d ** (2 ** (n - 1)) for d in block_dets])
-            np.testing.assert_allclose(np.linalg.det(dm.matrix), expected, rtol=1e-9)
+            np.testing.assert_allclose(np.linalg.det(dm), expected, rtol=1e-9)
 
     def test_outcome_length_must_match(self):
         ch = Channel((mes_pair(), mes_pair()))
@@ -229,7 +286,7 @@ class TestIsProportionalToUnitary:
             for conv in (BHF, BHS):
                 for r in (1, 2, 3, 4):
                     block = sub_matrix(p, r, conv)
-                    ok, scale = is_proportional_to_unitary(block, tol=1e-10)
+                    ok, scale = is_proportional_to_unitary(block)
                     assert ok
                     assert scale == pytest.approx(1 / np.sqrt(2), abs=1e-12)
                     # closed form cancels catastrophically near equal singular

@@ -22,12 +22,14 @@ from belldecomp import (
     enumerate_outcomes,
     fidelity,
     inverse_sub_matrix,
+    is_proportional_to_unitary,
     random_channel,
     random_instance,
     random_pair,
     random_state,
     recover,
     sample_outcome,
+    sub_matrix,
 )
 from belldecomp.channel import NORM_WARN_TOL
 from belldecomp.protocol import _outcome_table
@@ -124,7 +126,7 @@ class TestCollapsedState:
         inst = random_instance(3, np.random.default_rng(54), BHS)
         for out in [(1, 2, 3), (4, 4, 1), (3, 2, 2)]:
             dm = decomposition_matrix(inst.channel, out, BHS)
-            expected = (dm.matrix @ inst.input_state.amps) * np.sqrt(0.5) ** 3
+            expected = (dm @ inst.input_state.amps) * np.sqrt(0.5) ** 3
             np.testing.assert_allclose(collapsed_state(inst, out).amps, expected, atol=1e-13)
 
     def test_outcome_validation(self):
@@ -209,6 +211,28 @@ class TestChannelCriterion:
         assert d.unitary_scale is None
         assert d.determinant == pytest.approx(0.48, abs=1e-15)
         assert d.concurrence == pytest.approx(0.96, abs=1e-15)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_unitary_over_sqrt2_pairs_are_unitary_proportional(self, conv):
+        """Every pair that is a unitary over sqrt(2) is flagged with scale 1/sqrt(2), as is
+        each of its blocks under either convention.  The first three pairs have |det| =
+        0.4999999999999999, where the closed form sigma_max^2 = (1 + sqrt(1 - 4|det|^2))/2,
+        sigma_min = |det|/sigma_max puts the singular values 1.5e-8 apart."""
+        s = 1 / np.sqrt(2)
+        ys = [np.array([1, 0, 0, 1]) * s, np.array([0, 1, 1, 0]) * s, np.array([1, 0, 0, -1j]) * s]
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            ys.append(q.reshape(-1) * s)
+        pairs = tuple(EntangledPair(y) for y in ys)
+        report = channel_criterion(Channel(pairs))
+        assert report.success
+        for p, d in zip(pairs, report.pairs):
+            assert d.unitary_proportional
+            assert d.unitary_scale == pytest.approx(s, abs=1e-12)
+            for r in (1, 2, 3, 4):
+                ok, scale = is_proportional_to_unitary(sub_matrix(p, r, conv))
+                assert ok and scale == pytest.approx(s, abs=1e-12)
 
 
 class TestEnumerateOutcomes:
@@ -351,7 +375,7 @@ def dense_collapsed(inst: TeleportationInstance, outcome) -> StateVector:
     """(1/sqrt2)^N times the materialized decomposition matrix applied to the input."""
     n = inst.num_qubits
     dm = decomposition_matrix(inst.channel, outcome, inst.convention)
-    return StateVector(n, np.sqrt(0.5) ** n * (dm.matrix @ inst.input_state.amps))
+    return StateVector(n, np.sqrt(0.5) ** n * (dm @ inst.input_state.amps))
 
 
 class TestOutcomeTable:
@@ -467,6 +491,16 @@ class TestOutcomeTable:
         for k in (len(table), -len(table) - 1):
             with pytest.raises(IndexError):
                 table[k]
+
+    @pytest.mark.parametrize("make", [hard_instance, degenerate_instance])
+    def test_records_are_found_by_value(self, make):
+        """``index``, ``in`` and ``count`` compare records field by field, amplitudes
+        included, so each finds the one record of its outcome."""
+        table = enumerate_outcomes(make(3, BHS, seed=122))
+        assert table.index(table[3]) == 3
+        assert table[3] in table
+        assert table.count(table[3]) == 1
+        assert dataclasses.replace(table[3], probability=0.5) not in table
 
     def test_arrays_are_read_only(self):
         table = enumerate_outcomes(hard_instance(2, BHF, seed=120))

@@ -33,6 +33,18 @@ class TestStateVector:
             StateVector(1, np.zeros(2)).normalized()
 
 
+class TestStateVectorEquality:
+    def test_equal_amplitudes_compare_equal(self):
+        a = StateVector(2, np.array([0.6, 0, 0, 0.8j]))
+        assert a == StateVector(2, a.amps.copy())
+        assert a in [StateVector(1, [1, 0]), a]
+
+    def test_any_difference_compares_unequal(self):
+        a = StateVector(1, np.array([0.6, 0.8]))
+        assert a != StateVector(1, np.array([0.6, np.nextafter(0.8, 1.0)]))
+        assert a != StateVector(2, np.array([0.6, 0.8, 0, 0]))
+
+
 class TestPermuteQubits:
     def test_swap_two_qubits(self):
         """|01> under swap(1,2) becomes |10>."""
