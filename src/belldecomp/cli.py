@@ -32,6 +32,7 @@ from .decomposition import (
 from .oracle import _reconstruction_diff, cross_check
 from .protocol import (
     TeleportationInstance,
+    _valid_seed,
     channel_criterion,
     collapsed_state,
     enumerate_outcomes,
@@ -234,6 +235,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
+    # sample_outcome checks the seed too, but only after the criterion is printed.
+    _valid_seed(args.seed)
     state = load_state(Path(args.state))
     channel = load_channel(Path(args.channel))
     inst = TeleportationInstance(state, channel, PairingConvention(args.convention))
@@ -311,6 +314,7 @@ def _verify_instance(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _valid_seed(args.seed)
     state_path = Path(args.state) if args.state else DEFAULT_STATE_FIXTURE
     channel_path = Path(args.channel) if args.channel else DEFAULT_CHANNEL_FIXTURE
     state = load_state(state_path)

@@ -49,7 +49,7 @@ __all__ = [
     "random_instance",
 ]
 
-# Enumerating 4^N outcomes beyond this is refused rather than attempted.
+# Enumerating or sampling the outcomes of more qubits than this is refused.
 ENUMERATION_CAP = 8
 
 
@@ -413,17 +413,67 @@ def enumerate_outcomes(
     return OutcomeTable(probs, table, fids, invertible)
 
 
+def _valid_seed(seed) -> int:
+    """``seed`` as an int when it is a non-negative integer, numpy's included, and not a bool."""
+    if (
+        isinstance(seed, (bool, np.bool_))
+        or not hasattr(type(seed), "__index__")
+        or operator.index(seed) < 0
+    ):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return operator.index(seed)
+
+
+def _inverse_cdf_step(weights: list[float], u: float) -> tuple[int, float]:
+    """The child whose interval holds the fraction ``u`` of the total weight, and
+    where in that interval, as a fraction of it.
+
+    Zero weights have empty intervals and are never chosen.  Should rounding
+    carry ``u`` past the last child, the last child of positive weight is
+    taken, at the top of its interval.
+    """
+    x = u * sum(weights)
+    for r, w in enumerate(weights):
+        if x < w:
+            return r, x / w
+        x -= w
+    return max(r for r, w in enumerate(weights) if w > 0.0), 1.0
+
+
 def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     """Draw one outcome from the Born distribution, deterministically per seed.
 
-    Zero-probability outcomes are never produced: the draw inverts the
-    cumulative distribution, and empty intervals cannot contain it.
+    ``seed`` must be a non-negative integer; numpy integers are accepted.
+    One uniform from ``numpy.random.default_rng(seed)`` inverts the cumulative
+    distribution over the outcomes in lexicographic order, pair by pair.  By
+    Kraus completeness the squared norms of pair i's four blocks applied to
+    the running state are proportional to the probabilities of the results
+    drawn so far followed by each result of pair i, so each step picks one of
+    four children of the running state and keeps it.  A draw costs O(N * 2^N)
+    and two buffers of 4 * 2^N amplitudes; the 4^N outcomes are never
+    tabulated.  Zero-probability outcomes are never produced.
     """
-    _, probs = _outcome_table(inst)
-    cum = np.cumsum(probs)
-    u = np.random.default_rng(seed).random() * cum[-1]
-    idx = min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
-    return tuple(int(d) + 1 for d in np.unravel_index(idx, (4,) * inst.num_qubits))
+    seed = _valid_seed(seed)
+    n = inst.num_qubits
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"refusing to sample {n}-qubit outcomes (cap is {ENUMERATION_CAP} qubits)"
+        )
+    u = np.random.default_rng(seed).random()
+    # The running state lives in the first 2^N amplitudes of ``t``; each pair's
+    # children are written over it, and the kept one is copied into ``spare``.
+    t, spare = (np.empty(4 << n, dtype=np.complex128) for _ in range(2))
+    t[: 1 << n] = inst.input_state.amps
+    outcome = []
+    for p in inst.channel.pairs:
+        state = t[: 1 << n].reshape(2, -1)
+        children = _contract_pair(pair_blocks(p, inst.convention), state, spare, t)
+        flat = children.view(np.float64)
+        r, u = _inverse_cdf_step(np.einsum("ikj,ikj->k", flat, flat).tolist(), u)
+        spare[: 1 << n].reshape(-1, 2)[...] = children[:, r]
+        t, spare = spare, t
+        outcome.append(r + 1)
+    return tuple(outcome)
 
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:

@@ -151,6 +151,26 @@ class TestParsing:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["teleport", "--seed", "-1"], "error: seed must be a non-negative integer, got -1"),
+            (["teleport", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+            (
+                ["verify", "--seed", "-5", "--random-instances", "1"],
+                "error: seed must be a non-negative integer, got -5",
+            ),
+            (["verify", "--seed", "-5"], "error: seed must be a non-negative integer, got -5"),
+        ],
+    )
+    def test_bad_seed_fails_before_any_output(self, argv, message, capsys):
+        state, channel = map(str, (cli.DEFAULT_STATE_FIXTURE, cli.DEFAULT_CHANNEL_FIXTURE))
+        assert cli.main(argv + ["--state", state, "--channel", channel]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestLoadChannel:
     """Pairs are renormalized on load, with a warning when the norm was off 1."""
 

@@ -1,6 +1,7 @@
 """Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, Born
-probabilities and oracle agreement on normalized instances with near-singular pairs, and
-one verdict on invertibility for a pair exactly at the tolerance."""
+probabilities and oracle agreement on normalized instances with near-singular pairs, one
+verdict on invertibility for a pair exactly at the tolerance, and the pair-by-pair draw
+against the inverse cumulative distribution over all outcomes."""
 
 import math
 
@@ -10,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_protocol import pair_with_abs_det
+from test_protocol import InverseCdf, pair_with_abs_det
 
 from belldecomp import (
     Channel,
@@ -24,8 +25,10 @@ from belldecomp import (
     cross_check,
     enumerate_outcomes,
     pair_determinant,
+    random_pair,
     random_state,
     recover,
+    sample_outcome,
     sub_matrix,
 )
 from belldecomp.decomposition import SIGMA, inverse_pair_blocks, inverse_sub_matrix, pair_blocks
@@ -151,3 +154,32 @@ def test_a_pair_exactly_at_the_tolerance_is_not_invertible(inst, data):
     records = enumerate_outcomes(inst, below)
     assert all(r.invertible for r in records)
     assert all(r.recovered_fidelity is not None for r in records if r.probability > 0.0)
+
+
+@st.composite
+def sampling_instances(draw):
+    """Normalized instances of 1 to 4 qubits with zero-probability outcomes likely.
+
+    Each pair is random or a product pair |jk>, and each input qubit is free or
+    fixed to a basis state by zeroing the other amplitudes.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    conv = draw(conventions)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = []
+    for basis in draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=n, max_size=n)):
+        pairs.append(random_pair(rng) if basis is None else EntangledPair(np.eye(4)[basis]))
+    amps = random_state(n, rng).amps.reshape((2,) * n)
+    for q, bit in enumerate(draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n))):
+        if bit is not None:
+            np.moveaxis(amps, q, 0)[1 - bit] = 0.0
+    amps = amps.reshape(-1) / np.linalg.norm(amps)
+    return TeleportationInstance(StateVector(n, amps), Channel(tuple(pairs)), conv)
+
+
+@settings(max_examples=100)
+@given(sampling_instances(), st.integers(min_value=0, max_value=2**64 - 1))
+def test_the_draw_is_the_inverse_cdf_and_never_impossible(inst, seed):
+    out = sample_outcome(inst, seed)
+    assert collapsed_state(inst, out).squared_norm() > 0.0
+    assert out == InverseCdf(inst).draw(seed)

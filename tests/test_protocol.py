@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import statistics
+import tracemalloc
 from collections.abc import Sequence
 from functools import reduce
 
@@ -32,7 +34,7 @@ from belldecomp import (
     sub_matrix,
 )
 from belldecomp.channel import NORM_WARN_TOL
-from belldecomp.protocol import _outcome_table
+from belldecomp.protocol import _inverse_cdf_step, _outcome_table
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -287,6 +289,27 @@ class TestEnumerateOutcomes:
             enumerate_outcomes(TeleportationInstance(state, ch, BHS))
 
 
+def outcome_index(outcome) -> int:
+    """Position of ``outcome`` in lexicographic order of the per-pair results."""
+    return int(np.ravel_multi_index([r - 1 for r in outcome], (4,) * len(outcome)))
+
+
+class InverseCdf:
+    """Draws by inverting the cumulative distribution of the per-outcome
+    ``collapsed_state`` probabilities, in lexicographic order of the outcomes."""
+
+    def __init__(self, inst: TeleportationInstance):
+        self.outcomes = list(itertools.product((1, 2, 3, 4), repeat=inst.num_qubits))
+        self.probs = np.array([collapsed_state(inst, out).squared_norm() for out in self.outcomes])
+        self.cum = np.cumsum(self.probs)
+
+    def draw(self, seed: int):
+        u = np.random.default_rng(seed).random() * self.cum[-1]
+        k = int(np.searchsorted(self.cum, u, side="right"))
+        # Rounding can put u at the total: the last outcome of positive probability.
+        return self.outcomes[k if k < len(self.outcomes) else np.flatnonzero(self.probs)[-1]]
+
+
 class TestSampleOutcome:
     def test_deterministic_per_seed(self):
         inst = mes_instance(2, seed=64)
@@ -309,6 +332,97 @@ class TestSampleOutcome:
         sigma = np.sqrt(n_draws * 0.25 * 0.75)
         for out, count in counts.items():
             assert abs(count - n_draws * 0.25) <= 3 * sigma, (out, count)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_seed_to_outcome_mapping_is_the_inverse_cdf(self, n, conv):
+        inst = random_instance(n, np.random.default_rng(130 + n), conv)
+        reference = InverseCdf(inst)
+        for seed in range(200):
+            assert sample_outcome(inst, seed) == reference.draw(seed)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_frequencies_pass_a_chi_square_test(self, conv):
+        """20,000 draws at n = 3 against the per-outcome Born probabilities.
+
+        Weakly entangled pairs (cos 0.1, 0, 0, sin 0.1) and an input near |000>
+        skew the distribution: 24 of the 64 outcomes expect fewer than 5 draws.
+        Outcomes are pooled in order of rising expected count until each bin
+        expects at least 5 draws.  The threshold is the 0.999 quantile of
+        chi-square at the bins' degrees of freedom, by the Wilson-Hilferty
+        approximation k (1 - 2/(9k) + z sqrt(2/(9k)))^3 with z the 0.999
+        normal quantile; for k >= 20 it overstates the exact quantile by less than 0.3%.
+        """
+        rng = np.random.default_rng(140)
+        amps = np.eye(8)[0] + 0.1 * random_state(3, rng).amps
+        pair = diagonal_pair(math.cos(0.1), math.sin(0.1))
+        state = StateVector(3, amps / np.linalg.norm(amps))
+        inst = TeleportationInstance(state, Channel((pair,) * 3), conv)
+        n_draws = 20_000
+        probs = InverseCdf(inst).probs
+        expected = n_draws * probs / probs.sum()
+        observed = np.zeros(len(probs))
+        for seed in range(n_draws):
+            observed[outcome_index(sample_outcome(inst, seed))] += 1
+        bins_e, bins_o, acc_e, acc_o = [], [], 0.0, 0.0
+        for k in np.argsort(expected):
+            acc_e, acc_o = acc_e + expected[k], acc_o + observed[k]
+            if acc_e >= 5.0:
+                bins_e.append(acc_e)
+                bins_o.append(acc_o)
+                acc_e, acc_o = 0.0, 0.0
+        assert acc_e == 0.0 and len(bins_e) >= 21, len(bins_e)
+        e, o = np.array(bins_e), np.array(bins_o)
+        stat = float(((o - e) ** 2 / e).sum())
+        df = len(e) - 1
+        z = statistics.NormalDist().inv_cdf(0.999)
+        threshold = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+        assert stat <= threshold, (stat, df, threshold)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_zero_weight_branches_are_never_taken(self, conv):
+        """Pair 2 is the product pair (1, 0, 0, 0) and the input's qubit 2 is |1>, so
+        pair 2's results 1 and 2 have weight 0 on every branch."""
+        rng = np.random.default_rng(150)
+        pairs = list(random_channel(3, rng).pairs)
+        pairs[1] = EntangledPair(np.array([1, 0, 0, 0], dtype=complex))
+        amps = np.kron(np.kron(random_state(1, rng).amps, [0, 1]), random_state(1, rng).amps)
+        inst = TeleportationInstance(StateVector(3, amps), Channel(tuple(pairs)), conv)
+        drawn = {sample_outcome(inst, seed) for seed in range(2000)}
+        assert {out[1] for out in drawn} == {3, 4}
+        assert min(collapsed_state(inst, out).squared_norm() for out in drawn) > 0.0
+
+    def test_a_uniform_past_the_last_child_takes_the_last_child_of_weight(self):
+        """Rounding can leave the uniform at the total weight of a step; the draw then
+        ends at the top of the last child of positive weight, never in a zero one."""
+        assert _inverse_cdf_step([0.25, 0.5, 0.0, 0.0], 1.0) == (1, 1.0)
+        assert _inverse_cdf_step([0.0, 0.5, 0.0, 0.25], 1.0) == (3, 1.0)
+
+    @pytest.mark.parametrize(
+        "seed", [True, False, np.True_, -1, np.int64(-3), 1.5, np.float64(2.0), "3", None]
+    )
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got "):
+            sample_outcome(mes_instance(2, seed=68), seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.int32(5), np.uint8(5)])
+    def test_numpy_integer_seeds_draw_as_ints(self, seed):
+        inst = random_instance(3, np.random.default_rng(69), BHS)
+        assert sample_outcome(inst, seed) == sample_outcome(inst, 5)
+
+    def test_one_draw_at_the_cap_allocates_under_1_mb(self):
+        """A draw holds two buffers of 4 * 2^N amplitudes, 32 KB at N = 8, where the
+        (4^8, 2^8) outcome table takes 268 MB.  numpy reports its allocations to
+        tracemalloc, so the peak bounds what the algorithm allocates, not its time."""
+        inst = random_instance(8, np.random.default_rng(160), BHS)
+        sample_outcome(inst, 0)
+        tracemalloc.start()
+        try:
+            sample_outcome(inst, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestStructuralInvariants:
