@@ -25,6 +25,7 @@ from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
     PairingConvention,
+    _valid_tol,
     inverse_sub_matrix,
     pair_blocks,
     validate_outcome,
@@ -197,6 +198,7 @@ def _criterion_lines(channel: Channel, tol_inv: float) -> tuple[list[str], bool]
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    _valid_tol(args.tol_inv, "--tol-inv")
     channel = load_channel(Path(args.channel))
     convention = PairingConvention(args.convention)
     n = len(channel.pairs)
@@ -237,6 +239,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_teleport(args: argparse.Namespace) -> int:
     # sample_outcome checks the seed too, but only after the criterion is printed.
     _valid_seed(args.seed)
+    _valid_tol(args.tol_inv, "--tol-inv")
     state = load_state(Path(args.state))
     channel = load_channel(Path(args.channel))
     inst = TeleportationInstance(state, channel, PairingConvention(args.convention))
@@ -315,6 +318,10 @@ def _verify_instance(
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _valid_seed(args.seed)
+    _valid_tol(args.tol_inv, "--tol-inv")
+    _valid_tol(args.tol_eq, "--tol-eq")
+    if args.random_instances < 0:
+        raise CliInputError(f"--random-instances must be >= 0, got {args.random_instances}")
     state_path = Path(args.state) if args.state else DEFAULT_STATE_FIXTURE
     channel_path = Path(args.channel) if args.channel else DEFAULT_CHANNEL_FIXTURE
     state = load_state(state_path)

@@ -22,6 +22,7 @@ these blocks; the protocol module applies it once.
 
 from __future__ import annotations
 
+import math
 import operator
 from enum import Enum
 from functools import reduce
@@ -103,9 +104,24 @@ def validate_outcome(outcome: Sequence[int], num_pairs: int) -> BellOutcome:
     return out
 
 
+def _valid_tol(tol, what: str = "tolerance"):
+    """``tol`` when it is a finite real number >= 0, numpy's included, and not a bool."""
+    if (
+        not isinstance(tol, (float, int, np.floating, np.integer))
+        or isinstance(tol, bool)
+        or not 0 <= tol < math.inf
+    ):
+        raise ValueError(f"{what} must be a finite number >= 0, got {tol!r}")
+    return tol
+
+
 def _invertible(det: complex, tol: float) -> bool:
-    """Whether a pair of determinant ``det`` has inverse blocks: |det| above ``tol``."""
-    return abs(det) > tol
+    """Whether a pair of determinant ``det`` has inverse blocks: |det| above ``tol``.
+
+    Raises ValueError unless ``tol`` is a finite number >= 0: a negative
+    tolerance would pass a singular pair and a NaN one would fail every pair.
+    """
+    return abs(det) > _valid_tol(tol)
 
 
 def _coefficient_matrix(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
@@ -164,9 +180,9 @@ def inverse_pair_blocks(
     """The inverses sigma_r^-1 @ M^-1 of the pair's four blocks stacked as (4, 2, 2).
 
     Every block of a pair has determinant +-(Y1*Y4 - Y2*Y3), so a single
-    near-zero check on the pair determinant covers all four results.  The
-    inverses are generally NOT unitary; they are scaled unitaries exactly
-    when the pair is maximally entangled.
+    near-zero check on the pair determinant covers all four results; ``tol``
+    must be a finite number >= 0.  The inverses are generally NOT unitary;
+    they are scaled unitaries exactly when the pair is maximally entangled.
     """
     return _SIGMA_INV @ _inverse_coefficient_matrix(pair, convention, tol)
 

@@ -14,15 +14,18 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .channel import NORM_WARN_TOL, Channel, EntangledPair, pair_determinant
 from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
+    SIGMA,
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
+    _inverse_coefficient_matrix,
     _invertible,
     inverse_pair_blocks,
     is_proportional_to_unitary,
@@ -93,15 +96,14 @@ def _contract_pair(
 ) -> np.ndarray:
     """Apply k stacked 2x2 blocks to the leading qubit axis of ``t``.
 
-    ``t`` is (2, m), the same amplitudes for every block, or (k, 2, m), one
-    slice per block.  The result is a view of ``out`` shaped (m, k, 2): the
-    new (result, qubit) axes move to the back, so the next pair's qubit
-    leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
+    ``t`` is (2, m), the same amplitudes for every block.  The result is a
+    view of ``out`` shaped (m, k, 2): the new (result, qubit) axes move to
+    the back, so the next pair's qubit leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
     products keep this off BLAS: threaded OpenBLAS calls of these shapes were
     measured to stall for about 8 ms each on a 2-CPU machine.
     """
     k, m = len(blocks), t.shape[-1]
-    t = t.reshape(-1, 2, m)
+    t = t.reshape(1, 2, m)
     product = buf[: 2 * k * m].reshape(k, 2, m)
     np.multiply(blocks[:, :, :1], t[:, :1], out=product)
     product += blocks[:, :, 1:] * t[:, 1:]
@@ -152,9 +154,12 @@ def recover(
 ) -> tuple[StateVector, float]:
     """Undo the outcome's blocks, renormalize, and report fidelity to the input.
 
-    The one-row case of ``_recovery_fidelities``, as ``collapsed_state`` is
-    of ``_outcome_table``.  Raises NotInvertibleError naming the offending
-    pair(s) when any pair determinant magnitude is at or below ``tol``.
+    Each pair's inverse block sigma_r^-1 M^-1 for its result is applied with
+    the per-pair kernel of ``collapsed_state``.  ``enumerate_outcomes`` gets
+    the same fidelities, to rounding, from one shared M^-1 product per run of
+    table rows read in each outcome's Pauli frame.  Raises NotInvertibleError
+    naming the offending pair(s) when any pair determinant magnitude is at or
+    below ``tol``, and ValueError unless ``tol`` is a finite number >= 0.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
@@ -205,7 +210,7 @@ def channel_criterion(channel: Channel, tol: float = DEFAULT_INVERTIBILITY_TOL) 
     ``TeleportationInstance``; the concurrence and scale assume it.  The
     block singular values do not depend on the Bell result or the pairing
     convention, so the unitary-proportionality flag is computed once per
-    pair from its coefficient matrix.
+    pair from its coefficient matrix.  ``tol`` must be a finite number >= 0.
     """
     diags = []
     for i, p in enumerate(channel.pairs, start=1):
@@ -248,23 +253,22 @@ class OutcomeRecord:
 # 1 MB at N = 8, next to the 268 MB table.
 _CHUNK_PAIRS = 4
 
+# sigma_r as a signed permutation, entries 0 and +-1 (-iY is real): row j of
+# sigma_r holds _FRAME_SIGN[r - 1, j] in column _FRAME_INDEX[r - 1, j].
+_FRAME_INDEX = np.abs(SIGMA).argmax(axis=2)
+_FRAME_SIGN = np.take_along_axis(SIGMA.real, _FRAME_INDEX[:, :, None], axis=2)[:, :, 0]
+
 
 def _chunk_rows(n: int) -> int:
     return 4 ** min(n - 1, _CHUNK_PAIRS)
 
 
-def _chunks(stacks: list[np.ndarray]):
-    """Each chunk's rows in the outcome table and the block stacks that act on it.
-
-    The leading pairs, whose results the chunk fixes, contribute only the
-    block for that result.
-    """
-    n = len(stacks)
+def _chunks(n: int):
+    """Each chunk's rows in the outcome table and the leading results (0-based) it fixes."""
     size = _chunk_rows(n)
     lead = n - min(n - 1, _CHUNK_PAIRS)
     for c, prefix in enumerate(itertools.product(range(4), repeat=lead)):
-        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[lead:]
-        yield slice(c * size, (c + 1) * size), blocks
+        yield slice(c * size, (c + 1) * size), prefix
 
 
 def _row_order(flat: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
@@ -296,7 +300,9 @@ def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]
     x = inst.input_state.amps * math.sqrt(0.5) ** n
     table = np.empty((4**n, 1 << n), dtype=np.complex128)
     buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
-    for rows, blocks in _chunks(stacks):
+    for rows, prefix in _chunks(n):
+        # The leading pairs contribute only the block for the chunk's result.
+        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[len(prefix) :]
         t = x
         for b in blocks:
             t = _contract_pair(b, t.reshape(2, -1), buf, out)
@@ -306,36 +312,90 @@ def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]
     return table, np.einsum("ij,ij->i", flat, flat)
 
 
+def _pauli_frame(results: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma_r = sigma_r1 (x) ... (x) sigma_rn for every r with r_i in ``results[i]`` (0-based).
+
+    Every sigma_r is a real signed permutation, and so is their tensor product:
+    row k of the (K, 2^n) ``index`` and ``sign``, for the k-th r in
+    lexicographic order, gives (Sigma_r x)[j] = sign[k, j] * x[index[k, j]].
+    """
+    index = np.zeros((1, 1), dtype=np.intp)
+    sign = np.ones((1, 1))
+    for rs in results:
+        i, s = _FRAME_INDEX[list(rs)], _FRAME_SIGN[list(rs)]
+        k = len(index) * len(rs)
+        index = (2 * index[:, None, :, None] + i[None, :, None, :]).reshape(k, -1)
+        sign = (sign[:, None, :, None] * s[None, :, None, :]).reshape(k, -1)
+    return index, sign
+
+
+def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each chunk's rows and, row by row, Sigma_r x for the outcome r of that row.
+
+    A chunk's frames are the signed permutation of the leading results it
+    fixes times one table over every result of the tail pairs, so nothing
+    larger than a chunk is built.  The leading part acts on the 2^N
+    amplitudes, once per chunk; one gather then reads every row from them and
+    their negatives.  The yielded array is one buffer, which the caller may
+    overwrite and the next chunk does.
+    """
+    n = x.size.bit_length() - 1
+    tail = min(n - 1, _CHUNK_PAIRS)
+    tail_index, tail_sign = _pauli_frame([range(4)] * tail)
+    # Row a of ``signed`` holds the amplitudes whose leading bits are a, then
+    # their negatives; entry (k, a, b) of ``gather`` is a flat index into it.
+    tail_index += np.where(tail_sign < 0, 1 << tail, 0)
+    lead_rows = np.arange(1 << (n - tail))
+    gather = (lead_rows[:, None] << (tail + 1)) + tail_index[:, None, :]
+    x = x.reshape(len(lead_rows), -1)
+    out = np.empty(gather.shape, dtype=x.dtype)
+    for rows, prefix in _chunks(n):
+        index, sign = _pauli_frame([(r,) for r in prefix])
+        lead = x[index[0]] * sign[0][:, None]
+        signed = np.concatenate([lead, -lead], axis=1)
+        # mode="clip" writes straight into ``out``; every index is in range.
+        np.take(signed, gather, out=out, mode="clip")
+        yield rows, out.reshape(len(out), -1)
+
+
 def _recovery_fidelities(
     inst: TeleportationInstance, collapsed: np.ndarray, tol: float
 ) -> np.ndarray:
     """Fidelity to the input of every row of ``collapsed`` after its inverse blocks.
 
-    The rows are the 4^N outcomes' collapsed states in lexicographic order.
-    Chunk by chunk, the rows are copied into interleaved layout, where each
-    pair's four inverse blocks act on their own results' slices, and back.
-    Rows of zero norm give NaN.
+    The rows are the 4^N outcomes' collapsed states c_r in lexicographic
+    order.  Outcome r's inverse is Sigma_r^-1 W: W, the tensor product of
+    every pair's M^-1, is the same for all outcomes, and Sigma_r, the tensor
+    product of the sigma_{r_i}, is a real signed permutation.  So the
+    recovered state Sigma_r^-1 W c_r has the overlap with x and the norm that
+    W c_r has with Sigma_r x, and no per-outcome inverse is applied: each
+    chunk of rows is multiplied by W^T in one matrix product, and each row of
+    the product is read against the input in its own outcome's frame.  Rows
+    of zero norm give NaN.
     """
     n = inst.num_qubits
-    stacks = [inverse_pair_blocks(p, inst.convention, tol) for p in inst.channel.pairs]
-    x = inst.input_state.amps.conj()
-    overlap = np.empty(4**n, dtype=np.complex128)
-    norm2 = np.empty(4**n)
-    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
-    for rows, blocks in _chunks(stacks):
-        ordered = _row_order(out, blocks)
-        ordered[...] = collapsed[rows].reshape(ordered.shape)
-        t = out
-        for b in blocks:
-            t = _contract_pair(b, t.reshape(len(b), 2, -1), buf, out)
-        recovered = buf.reshape(-1, 1 << n)
-        recovered.reshape(ordered.shape)[...] = ordered
-        np.einsum("ij,j->i", recovered, x, out=overlap[rows])
-        flat = recovered.view(np.float64)
-        np.einsum("ij,ij->i", flat, flat, out=norm2[rows])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fid = np.abs(overlap) ** 2 / (norm2 * inst.input_state.squared_norm())
-    return np.minimum(fid, 1.0)
+    w_t = reduce(
+        np.kron,
+        [_inverse_coefficient_matrix(p, inst.convention, tol) for p in inst.channel.pairs],
+    ).T
+    x2 = inst.input_state.squared_norm()
+    fid = np.empty(4**n)
+    z = np.empty((_chunk_rows(n), 1 << n), dtype=np.complex128)
+    flat = z.view(np.float64)
+    for rows, framed in _chunk_frames(inst.input_state.amps.conj()):
+        np.matmul(collapsed[rows], w_t, out=z)
+        overlap = np.einsum("ij,ij->i", framed, z)
+        # F = on / (on + off): on and off are the squared norms of the parts of
+        # Z along and off Sigma_r x.  Taking off from the residual keeps 1 - F
+        # accurate when F is near 1, where |overlap|^2 / |Z|^2 loses it.
+        on = (overlap.real**2 + overlap.imag**2) / x2
+        np.conjugate(z, out=z)
+        framed *= (overlap.conj() / x2)[:, None]
+        z -= framed
+        off = np.einsum("ij,ij->i", flat, flat)
+        with np.errstate(invalid="ignore"):
+            fid[rows] = on / (on + off)
+    return fid
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,15 +455,16 @@ def enumerate_outcomes(
 
     For a normalized instance the probabilities sum to 1 up to float error.
     The collapsed states take 16 * 8^N bytes; every record's ``collapsed``
-    amplitudes are a row view of that one array.
+    amplitudes are a row view of that one array.  ``tol`` must be a finite
+    number >= 0, or ValueError is raised before any state is built.
     """
-    table, probs = _outcome_table(inst)
-    norms = np.sqrt(probs)
-    zero = norms == 0.0
-    norms[zero] = 1.0
-    table /= norms[:, None]
-    table[zero] = 0.0
     invertible = not _non_invertible_pairs(inst.channel, tol)
+    table, probs = _outcome_table(inst)
+    # Rows of zero probability come out 0/0 = NaN and are zeroed.  No array of
+    # norms outlives the division to sit next to the recovery's buffers.
+    with np.errstate(invalid="ignore"):
+        table /= np.sqrt(probs)[:, None]
+    table[probs == 0.0] = 0.0
     if compute_recovery and invertible:
         fids = _recovery_fidelities(inst, table, tol)
     else:

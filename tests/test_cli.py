@@ -170,6 +170,37 @@ class TestParsing:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf", "-1e-300"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("decompose", "--tol-inv"),
+            ("teleport", "--tol-inv"),
+            ("verify", "--tol-inv"),
+            ("verify", "--tol-eq"),
+        ],
+    )
+    def test_bad_tolerance_fails_before_any_output(self, command, flag, value, tmp_path, capsys):
+        """Accepted, --tol-inv -1 printed NaN inverse blocks for a product pair, --tol-inv
+        nan skipped the recovery check and passed, and a bad --tol-eq exited 1."""
+        state = str(cli.DEFAULT_STATE_FIXTURE)
+        channel = write_channel(tmp_path / "c.json", [MES, PRODUCT, MES])
+        files = {
+            "decompose": ["--channel", channel, "--outcome", "111"],
+            "teleport": ["--state", state, "--channel", channel],
+            "verify": ["--state", state, "--channel", channel],
+        }
+        assert cli.main([command, f"{flag}={value}"] + files[command]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} must be a finite number >= 0, got " in captured.err
+
+    def test_negative_random_instance_count_fails_before_any_output(self, capsys):
+        assert cli.main(["verify", "--random-instances", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --random-instances must be >= 0, got -3" in captured.err
+
 
 class TestLoadChannel:
     """Pairs are renormalized on load, with a warning when the norm was off 1."""

@@ -1,8 +1,10 @@
 """Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, Born
 probabilities and oracle agreement on normalized instances with near-singular pairs, one
-verdict on invertibility for a pair exactly at the tolerance, and the pair-by-pair draw
-against the inverse cumulative distribution over all outcomes."""
+verdict on invertibility for a pair exactly at the tolerance, the table's recovery
+fidelities against ``recover``'s, and the pair-by-pair draw against the inverse cumulative
+distribution over all outcomes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -154,6 +156,48 @@ def test_a_pair_exactly_at_the_tolerance_is_not_invertible(inst, data):
     records = enumerate_outcomes(inst, below)
     assert all(r.invertible for r in records)
     assert all(r.recovered_fidelity is not None for r in records if r.probability > 0.0)
+
+
+@st.composite
+def recoverable_instances(draw):
+    """Normalized instances of 1 to 4 qubits, each pair's |det| log-uniform in [1e-9, 0.5].
+
+    The exponents are scaled down together where needed to keep the product of
+    the |det| at or above 1e-9.  The recovery's condition number is at most the
+    inverse of that product, and a fidelity recovered from a rounded collapsed
+    state is only good to about (condition number * 1.1e-16)^2: past a product
+    of about 1e-10 the table and ``recover`` round differently and their
+    fidelities part, under the pair-by-pair kernel as under the shared inverse.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    conv = draw(conventions)
+    top = math.log10(0.5)
+    log_dets = np.array(
+        draw(st.lists(st.floats(min_value=-9.0, max_value=top), min_size=n, max_size=n))
+    )
+    depth = (top - log_dets).sum()
+    if depth > 9.0 + top:
+        log_dets = top - (top - log_dets) * ((9.0 + top) / depth)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = tuple(pair_with_abs_det(rng, 10.0**d) for d in log_dets)
+    return TeleportationInstance(random_state(n, rng), Channel(pairs), conv)
+
+
+@settings(max_examples=50, deadline=None)
+@given(recoverable_instances())
+def test_table_fidelities_are_those_of_recover(inst):
+    """The shared-inverse table kernel and ``recover``'s per-outcome inverse blocks agree,
+    also on whether a pair drawn at |det| = 1e-9 is invertible at that tolerance."""
+    table = enumerate_outcomes(inst)
+    for k, out in enumerate(itertools.product((1, 2, 3, 4), repeat=inst.num_qubits)):
+        collapsed = collapsed_state(inst, out)
+        if not table.invertible:
+            assert math.isnan(table.fidelities[k])
+            with pytest.raises(NotInvertibleError):
+                recover(collapsed, inst, out)
+            continue
+        _, fid = recover(collapsed, inst, out)
+        assert abs(table.fidelities[k] - fid) <= 1e-12
 
 
 @st.composite

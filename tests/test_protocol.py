@@ -34,7 +34,13 @@ from belldecomp import (
     sub_matrix,
 )
 from belldecomp.channel import NORM_WARN_TOL
-from belldecomp.protocol import _inverse_cdf_step, _outcome_table
+from belldecomp.decomposition import DEFAULT_INVERTIBILITY_TOL, SIGMA, inverse_pair_blocks
+from belldecomp.protocol import (
+    _chunk_frames,
+    _inverse_cdf_step,
+    _outcome_table,
+    _recovery_fidelities,
+)
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -647,3 +653,72 @@ class TestOutcomeTable:
         ch = Channel(tuple(mes_pair() for _ in range(n)))
         with pytest.raises(ValueError):
             sample_outcome(TeleportationInstance(state, ch, BHS), 0)
+
+
+class TestRecoveryKernel:
+    """The table's fidelities: one product with the shared inverse W per chunk, read
+    against the input in each outcome's Pauli frame."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chunk_frames_are_the_pauli_products(self, n):
+        """Frame k of each chunk is Sigma_r x for the outcome r of row k, bit for bit."""
+        x = random_state(n, np.random.default_rng(130 + n)).amps
+        outcomes = list(itertools.product(range(4), repeat=n))
+        covered = []
+        for rows, framed in _chunk_frames(x):
+            for k, r in enumerate(outcomes[rows]):
+                sigma = reduce(np.kron, SIGMA[list(r)])
+                assert np.array_equal(framed[k].reshape(-1), sigma @ x), r
+            covered += range(4**n)[rows]
+        assert covered == list(range(4**n))
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_recovery_reads_every_row(self, conv):
+        """Changing one amplitude of one row changes that row's fidelity alone."""
+        inst = hard_instance(3, conv, seed=140)
+        table = enumerate_outcomes(inst)
+        for k in (0, 37, 63):
+            collapsed = table.collapsed.copy()
+            collapsed[k, 5] += 0.25
+            fids = _recovery_fidelities(inst, collapsed, DEFAULT_INVERTIBILITY_TOL)
+            assert fids[k] < 1.0 - 1e-3
+            others = np.arange(len(fids)) != k
+            assert np.array_equal(fids[others], table.fidelities[others])
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_six_qubit_fidelities_match_recover(self, conv):
+        inst = hard_instance(6, conv, seed=150)
+        table = enumerate_outcomes(inst)
+        for k, out in enumerate(itertools.product((1, 2, 3, 4), repeat=6)):
+            _, fid = recover(collapsed_state(inst, out), inst, out)
+            assert abs(table.fidelities[k] - fid) <= 1e-12, out
+
+
+BAD_TOLERANCES = [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, "1e-9", None]
+
+
+class TestToleranceIsChecked:
+    """A negative tolerance passes singular pairs and a NaN one fails every pair, so each
+    function that decides invertibility refuses any tolerance but a finite number >= 0."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bad_tolerance_raises_value_error(self, tol):
+        inst = hard_instance(2, BHS, seed=170)
+        c = collapsed_state(inst, (1, 2))
+        calls = [
+            lambda: channel_criterion(inst.channel, tol),
+            lambda: enumerate_outcomes(inst, tol),
+            lambda: enumerate_outcomes(inst, tol, compute_recovery=False),
+            lambda: recover(c, inst, (1, 2), tol),
+            lambda: inverse_pair_blocks(inst.channel.pairs[0], BHS, tol),
+            lambda: inverse_sub_matrix(inst.channel.pairs[0], 1, BHS, tol),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                call()
+
+    @pytest.mark.parametrize("tol", [0, 0.0, np.float64(1e-9), np.int64(0), 1e300])
+    def test_finite_non_negative_tolerances_are_accepted(self, tol):
+        product = EntangledPair(np.array([1, 0, 0, 0], dtype=complex))
+        report = channel_criterion(Channel((mes_pair(), product)), tol)
+        assert report.failed_pairs == ((2,) if tol < 1e300 else (1, 2))
