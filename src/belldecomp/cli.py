@@ -30,7 +30,7 @@ from .decomposition import (
     pair_blocks,
     validate_outcome,
 )
-from .oracle import _reconstruction_diff, cross_check
+from .oracle import _measurement_state, _reconstruction_diff, cross_check
 from .protocol import (
     TeleportationInstance,
     _valid_seed,
@@ -270,7 +270,10 @@ def _verify_instance(
     lines = []
     ok = True
 
-    report = cross_check(inst, tol=tol_eq)
+    # One joint state in measurement order serves the oracle and the
+    # reconstruction check.
+    rearranged = _measurement_state(inst)
+    report = cross_check(inst, tol=tol_eq, rearranged=rearranged)
     status = "PASS" if report.passed else "FAIL"
     ok &= report.passed
     lines.append(
@@ -290,7 +293,7 @@ def _verify_instance(
         f"(|sum(p) - 1| = {abs(total - 1.0):.3e}, tol {tol_eq:.3e})"
     )
 
-    diff = _reconstruction_diff(inst, table)
+    diff = _reconstruction_diff(rearranged, table)
     passed = diff <= tol_eq
     ok &= passed
     lines.append(

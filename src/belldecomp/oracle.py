@@ -1,12 +1,18 @@
 """Brute-force state-vector oracle for the per-pair block predictions.
 
-The oracle holds the full joint state of all 3N qubits, reorders it into
-measurement order, and projects the measured qubits onto explicit Bell bras.
-It deliberately never touches the decomposition module's blocks: the only
-shared ingredients are the raw Bell basis vectors and the generic tensor
-utilities, so agreement between the two routes is meaningful.  Only
-``cross_check`` and the reconstruction check read the block predictions, to
-compare them.
+The oracle holds the full joint state of all 3N qubits in measurement order
+and projects the measured qubits onto explicit Bell bras.  It deliberately
+never touches the decomposition module's blocks: the only shared ingredients
+are the raw Bell basis vectors, the raw input and pair amplitudes and the
+generic tensor utilities, so agreement between the two routes is
+meaningful.  Only ``cross_check`` and the reconstruction check read the block
+predictions, to compare them.
+
+``joint_state`` and ``rearrange_for_measurement`` build the state as
+``np.kron`` products and permute it; ``_measurement_state`` multiplies the
+same products, in the same order, straight into measurement order, and is
+what ``cross_check`` and CLI ``verify`` hold: 16 * 8^N bytes, 268 MB at
+N = 8.
 
 A projection contracts each measured pair's axis against a stack of
 conjugated Bell bras, one pair at a time.  ``bell_project`` keeps one bra per
@@ -22,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import bell_state
-from .decomposition import PairingConvention, validate_outcome
-from .protocol import OutcomeTable, TeleportationInstance, _outcome_table
+from .decomposition import PairingConvention, _valid_tol, validate_outcome
+from .protocol import OutcomeTable, TeleportationInstance, _outcome_chunks
 from .tensor import DEFAULT_EQ_TOL, StateVector, permute_qubits
 
 __all__ = [
@@ -35,8 +41,9 @@ __all__ = [
     "cross_check",
 ]
 
-# 3*6 = 18 qubits, i.e. 2^18 amplitudes, is the largest joint state we build.
-ORACLE_CAP = 6
+# 3*8 = 24 qubits, i.e. 2^24 amplitudes (268 MB), is the largest joint state
+# we build.
+ORACLE_CAP = 8
 
 # Row a - 1 is the bra of Bell state a: the conjugated amplitudes.
 _BELL_BRAS = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
@@ -48,14 +55,18 @@ _BELL_BRAS.flags.writeable = False
 _BLAS_COLUMNS = 512
 
 
-def joint_state(inst: TeleportationInstance) -> StateVector:
-    """Full 3N-qubit product state: input qubits 1..N, then each pair's two qubits."""
-    n = inst.num_qubits
+def _check_cap(n: int) -> None:
     if n > ORACLE_CAP:
         raise ValueError(
             f"oracle holds the full joint state and supports at most {ORACLE_CAP} "
             f"qubit(s), got {n}"
         )
+
+
+def joint_state(inst: TeleportationInstance) -> StateVector:
+    """Full 3N-qubit product state: input qubits 1..N, then each pair's two qubits."""
+    n = inst.num_qubits
+    _check_cap(n)
     amps = inst.input_state.amps
     for pair in inst.channel.pairs:
         amps = np.kron(amps, pair.y)
@@ -93,6 +104,36 @@ def rearrange_for_measurement(js: StateVector, inst: TeleportationInstance) -> S
     if js.num_qubits != 3 * n:
         raise ValueError(f"joint state has {js.num_qubits} qubit(s), expected {3 * n}")
     return permute_qubits(js, _measurement_order(inst))
+
+
+def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
+    """The amplitudes of ``rearrange_for_measurement(joint_state(inst), inst)``, built in place.
+
+    The axes are (a1, s1, ..., aN, sN, b1, ..., bN): input qubit i, the
+    sender's half of pair i, then the receiver's halves.  Every amplitude is
+    the input amplitude times pair 1's, times pair 2's and so on, multiplied
+    in ``np.kron``'s order, so the result is bit for bit the permuted
+    ``joint_state``.  Pair i's factor fills its s_i and b_i axes, one of its
+    four amplitudes at a time, so each product runs over long strides.  The
+    peak is the result and the step before it, a quarter of its size.
+    """
+    n = inst.num_qubits
+    _check_cap(n)
+    t = inst.input_state.amps.reshape((2, 1) * n + (1,) * n)
+    for i, pair in enumerate(inst.channel.pairs):
+        y = pair.y.reshape(2, 2)  # (first qubit, second qubit)
+        if inst.convention is PairingConvention.BOB_HOLDS_FIRST:
+            y = y.T
+        axes = (2 * i + 1, 2 * n + i)  # the sender's and the receiver's half
+        shape = list(t.shape)
+        shape[axes[0]] = shape[axes[1]] = 2
+        new = np.empty(shape, dtype=np.complex128)
+        dest = np.moveaxis(new, axes, (0, 1))
+        src = np.moveaxis(t, axes, (0, 1))[0, 0]
+        for s, b in np.ndindex(2, 2):
+            np.multiply(src, y[s, b], out=dest[s, b])
+        t = new
+    return t.reshape(-1)
 
 
 def _project(amps: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
@@ -143,32 +184,48 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
+def cross_check(
+    inst: TeleportationInstance,
+    tol: float = DEFAULT_EQ_TOL,
+    *,
+    rearranged: np.ndarray | None = None,
+) -> CrossCheckReport:
     """Compare every outcome's block prediction against the projected residual.
 
-    The oracle's residuals come from one pass per pair over the rearranged
-    joint state, a quarter of the outcomes at a time: those that share the
-    first pair's result.  Besides the rearranged state, memory holds the
-    predicted (4^N, 2^N) table and one such quarter of residuals.  The table
-    is built only after the joint state has been rearranged and dropped, so
-    the two do not add to the peak.  ``worst_outcome`` is the first outcome
-    in lexicographic order that reaches ``max_abs_diff``.
+    The oracle's residuals come from one pass per pair over the joint state
+    in measurement order, a quarter of the outcomes at a time: those that
+    share the first pair's result.  The predictions come chunk by chunk and
+    are compared against the quarter they fall in, so the (4^N, 2^N) table is
+    never held.  Memory holds the 16 * 8^N-byte state, one quarter of
+    residuals with the step of the projection before it (each a quarter of
+    the state), and two buffers of at most 4^4 predicted rows: about 400 MB
+    at N = 8.  ``rearranged``, the state's amplitudes as
+    ``rearrange_for_measurement`` orders them, is built when not given.
+    ``worst_outcome`` is the first outcome in lexicographic order that
+    reaches ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or
+    ValueError is raised before any state is built.
     """
+    tol = _valid_tol(tol)
     n = inst.num_qubits
-    rs = rearrange_for_measurement(joint_state(inst), inst)
-    predicted, _ = _outcome_table(inst)
-    row_diff = np.empty(len(predicted))
-    size = len(predicted) // 4
-    for r in range(4):
-        rows = slice(r * size, (r + 1) * size)
-        residuals = _project(rs.amps, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1))
-        np.abs(residuals - predicted[rows]).max(axis=1, out=row_diff[rows])
+    rs = _measurement_state(inst) if rearranged is None else rearranged
+    if rs.shape != (1 << 3 * n,):
+        raise ValueError(f"rearranged state has shape {rs.shape}, expected ({1 << 3 * n},)")
+    quarter = 4 ** (n - 1)
+    row_diff = np.empty(4**n)
+    residuals = None
+    for rows, predicted in _outcome_chunks(inst):
+        r, start = divmod(rows.start, quarter)
+        if start == 0:
+            residuals = None  # freed before the next quarter is projected
+            residuals = _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1))
+        diff = residuals[start : start + len(predicted)] - predicted
+        np.abs(diff).max(axis=1, out=row_diff[rows])
     worst = int(np.argmax(row_diff))
     max_diff = float(row_diff[worst])
     return CrossCheckReport(
         num_qubits=n,
         convention=inst.convention,
-        num_outcomes=len(predicted),
+        num_outcomes=len(row_diff),
         max_abs_diff=max_diff,
         worst_outcome=tuple(int(d) + 1 for d in np.unravel_index(worst, (4,) * n)),
         tolerance=tol,
@@ -176,15 +233,18 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
     )
 
 
-def _reconstruction_diff(inst: TeleportationInstance, table: OutcomeTable) -> float:
+def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
     """Max |sum over outcomes of Bell states (x) collapsed states - rearranged joint state|.
 
-    The sum runs through ``_project`` one pair at a time: with the four Bell
-    states as the columns of its (4, 4) "bras", contracting pair i's result
-    axis turns it into that pair's two measured qubits.
+    ``rearranged`` holds the joint state's amplitudes in measurement order,
+    as ``_measurement_state`` builds them.  The sum runs through ``_project``
+    one pair at a time: with the four Bell states as the columns of its
+    (4, 4) "bras", contracting pair i's result axis turns it into that pair's
+    two measured qubits.
     """
-    rs = rearrange_for_measurement(joint_state(inst), inst)
     t = table.collapsed * np.sqrt(table.probabilities)[:, None]
     kets = np.array([bell_state(a) for a in (1, 2, 3, 4)]).T
-    rebuilt = _project(t, [kets] * inst.num_qubits)
-    return float(np.abs(rebuilt.reshape(-1) - rs.amps).max())
+    n = table.collapsed.shape[1].bit_length() - 1
+    rebuilt = _project(t, [kets] * n).reshape(-1)
+    rebuilt -= rearranged
+    return float(np.abs(rebuilt).max())

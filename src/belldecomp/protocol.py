@@ -94,22 +94,37 @@ class TeleportationInstance:
 def _contract_pair(
     blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Apply k stacked 2x2 blocks to the leading qubit axis of ``t``.
+    """Apply k stacked 2x2 blocks to the leading input qubit of ``t``.
 
-    ``t`` is (2, m), the same amplitudes for every block.  The result is a
-    view of ``out`` shaped (m, k, 2): the new (result, qubit) axes move to
-    the back, so the next pair's qubit leads.  ``buf`` holds the (k, 2, m) product on the way.  Elementwise
+    ``t`` is (m, rows, q): for each of ``rows`` results of the pairs before,
+    the amplitudes over m basis states of the input qubits still to measure,
+    this pair's qubit leading, and q of the receiver qubits so far.  The
+    result is a view of ``out`` shaped (m / 2, rows * k, 2 * q): this pair's
+    result follows the earlier results and its receiver qubit follows the
+    earlier qubits, so the next pair's input qubit leads and, after the last
+    pair, the rows are outcome rows in lexicographic order.  The sampler and
+    the single-outcome path pass rows = q = 1 and carry the receiver qubits
+    so far at the end of m instead.  ``buf`` holds the (k, 2, ...) product on the way.  Elementwise
     products keep this off BLAS: threaded OpenBLAS calls of these shapes were
     measured to stall for about 8 ms each on a 2-CPU machine.
     """
-    k, m = len(blocks), t.shape[-1]
-    t = t.reshape(1, 2, m)
-    product = buf[: 2 * k * m].reshape(k, 2, m)
-    np.multiply(blocks[:, :, :1], t[:, :1], out=product)
-    product += blocks[:, :, 1:] * t[:, 1:]
-    moved = out[: 2 * k * m].reshape(m, k, 2)
-    moved[...] = product.transpose(2, 0, 1)
-    return moved
+    k = len(blocks)
+    m, rows, q = t.shape
+    m //= 2
+    size = k * t.size
+    t = t.reshape(2, -1)
+    product = buf[:size].reshape(k, 2, -1)
+    np.multiply(blocks[:, :, :1], t[0], out=product)
+    product += blocks[:, :, 1:] * t[1]
+    if rows == q == 1:
+        # The same layout as below; three axes copy about 1 us faster, which
+        # shows on small draws and single outcomes.
+        moved = out[:size].reshape(m, k, 2)
+        moved[...] = product.transpose(2, 0, 1)
+        return moved
+    moved = out[:size].reshape(m, rows, k, q, 2)
+    moved[...] = product.reshape(k, 2, m, rows, q).transpose(2, 3, 0, 4, 1)
+    return moved.reshape(m, rows * k, 2 * q)
 
 
 def _contract_outcome(
@@ -124,7 +139,7 @@ def _contract_outcome(
     n = len(outcome)
     buf, out = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
     for s, r in zip(stacks, outcome):
-        t = _contract_pair(s[r - 1 : r], t.reshape(2, -1), buf, out)
+        t = _contract_pair(s[r - 1 : r], t.reshape(-1, 1, 1), buf, out)
     return StateVector(n, out)
 
 
@@ -271,43 +286,45 @@ def _chunks(n: int):
         yield slice(c * size, (c + 1) * size), prefix
 
 
-def _row_order(flat: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """A chunk buffer in interleaved layout, viewed in row order.
+def _outcome_chunks(
+    inst: TeleportationInstance, table: np.ndarray | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each chunk's rows of the outcome table and its unnormalized collapsed states.
 
-    After every pair's ``_contract_pair`` a chunk's axes are (r1, q1, ...,
-    rN, qN): pair i's result and the receiver's qubit i.  As rows of the
-    table they are (r1, ..., rN, q1, ..., qN).
+    Each chunk of rows is contracted one pair at a time in two chunk-sized
+    buffers.  The last pair writes the chunk into ``table[rows]`` when a
+    table is given and into one of the buffers otherwise, which the next
+    chunk overwrites.  The caller checks ``ENUMERATION_CAP``.
     """
-    n = len(blocks)
-    shape = tuple(d for b in blocks for d in (len(b), 2))
-    order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
-    return flat[: math.prod(shape)].reshape(shape).transpose(order)
+    n = inst.num_qubits
+    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
+    x = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
+    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
+    for rows, prefix in _chunks(n):
+        # The leading pairs contribute only the block for the chunk's result.
+        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[len(prefix) :]
+        t = x
+        for b in blocks[:-1]:
+            t = _contract_pair(b, t, buf, out)
+        dest = out if table is None else table[rows].reshape(-1)
+        yield rows, _contract_pair(blocks[-1], t, buf, dest)[0]
 
 
 def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized collapsed states of all 4^N outcomes and their Born probabilities.
 
     Row k of the (4^N, 2^N) table is ``collapsed_state`` of the k-th outcome in
-    lexicographic order.  Each chunk of rows is contracted one pair at a time
-    in two chunk-sized buffers and then copied into place.
+    lexicographic order.  The last pair's contraction of each chunk of rows
+    writes them in place.
     """
     n = inst.num_qubits
     if n > ENUMERATION_CAP:
         raise ValueError(
             f"refusing to enumerate 4**{n} outcomes (cap is {ENUMERATION_CAP} qubits)"
         )
-    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
-    x = inst.input_state.amps * math.sqrt(0.5) ** n
     table = np.empty((4**n, 1 << n), dtype=np.complex128)
-    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
-    for rows, prefix in _chunks(n):
-        # The leading pairs contribute only the block for the chunk's result.
-        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[len(prefix) :]
-        t = x
-        for b in blocks:
-            t = _contract_pair(b, t.reshape(2, -1), buf, out)
-        ordered = _row_order(out, blocks)
-        table[rows].reshape(ordered.shape)[...] = ordered
+    for _ in _outcome_chunks(inst, table):
+        pass
     flat = table.view(np.float64)
     return table, np.einsum("ij,ij->i", flat, flat)
 
@@ -460,10 +477,13 @@ def enumerate_outcomes(
     """
     invertible = not _non_invertible_pairs(inst.channel, tol)
     table, probs = _outcome_table(inst)
-    # Rows of zero probability come out 0/0 = NaN and are zeroed.  No array of
-    # norms outlives the division to sit next to the recovery's buffers.
-    with np.errstate(invalid="ignore"):
-        table /= np.sqrt(probs)[:, None]
+    # numpy divides a complex by a real by multiplying with the reciprocal, so
+    # scaling the real and imaginary parts by it gives the same nonzero values
+    # at about a third of the cost.  Rows of zero probability come out 0 * inf = NaN
+    # and are zeroed.
+    flat = table.view(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat *= (1.0 / np.sqrt(probs))[:, None]
     table[probs == 0.0] = 0.0
     if compute_recovery and invertible:
         fids = _recovery_fidelities(inst, table, tol)
@@ -527,7 +547,7 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     t[: 1 << n] = inst.input_state.amps
     outcome = []
     for p in inst.channel.pairs:
-        state = t[: 1 << n].reshape(2, -1)
+        state = t[: 1 << n].reshape(-1, 1, 1)
         children = _contract_pair(pair_blocks(p, inst.convention), state, spare, t)
         flat = children.view(np.float64)
         r, u = _inverse_cdf_step(np.einsum("ikj,ikj->k", flat, flat).tolist(), u)

@@ -104,18 +104,20 @@ def test_the_oracle_uses_no_block_code():
     block_side = (
         _defined_names(_module_tree("decomposition")) | _defined_names(_module_tree("protocol"))
     ) - ORACLE_MAY_USE
-    assert {"SIGMA", "pair_blocks", "_contract_pair", "_outcome_table"} <= block_side
+    assert {
+        "SIGMA", "pair_blocks", "_contract_pair", "_outcome_table", "_outcome_chunks"
+    } <= block_side
     body = [
         (getattr(node, "name", f"line {node.lineno}"), node)
         for node in _module_tree("oracle").body
         if not isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     guarded = [(name, node) for name, node in body if name not in COMPARATORS]
-    assert {"joint_state", "rearrange_for_measurement", "bell_project", "_project"} <= {
-        name for name, _ in guarded
-    }
+    assert {
+        "joint_state", "rearrange_for_measurement", "_measurement_state", "bell_project", "_project"
+    } <= {name for name, _ in guarded}
     reached = {name: sorted(_names_read(node) & block_side) for name, node in guarded}
     assert {name: used for name, used in reached.items() if used} == {}
-    assert [name for name, node in body if "_outcome_table" in _names_read(node)] == [
+    assert [name for name, node in body if "_outcome_chunks" in _names_read(node)] == [
         "cross_check"
     ]

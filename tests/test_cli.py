@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -309,10 +310,17 @@ class TestVerify:
         assert "check recovery-fidelity: SKIP" in out
 
     def test_above_the_oracle_cap_is_a_usage_error(self, tmp_path, capsys):
+        """Refused before the 2^(3N)-amplitude joint state, 2 GB at N = 9, is allocated."""
         n = ORACLE_CAP + 1
         state = write_state(tmp_path / "s.json", n, [1 + 0j] + [0j] * ((1 << n) - 1))
         channel = write_channel(tmp_path / "c.json", [MES] * n)
-        assert cli.main(["verify", "--state", state, "--channel", channel]) == 2
+        tracemalloc.start()
+        try:
+            assert cli.main(["verify", "--state", state, "--channel", channel]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8**n / 1000
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"supports at most {ORACLE_CAP} qubit(s)" in captured.err

@@ -24,7 +24,14 @@ from belldecomp import (
     rearrange_for_measurement,
 )
 from belldecomp import oracle
-from belldecomp.oracle import _BELL_BRAS, _project, _reconstruction_diff
+from belldecomp.oracle import (
+    _BELL_BRAS,
+    ORACLE_CAP,
+    _measurement_state,
+    _project,
+    _reconstruction_diff,
+)
+from belldecomp.protocol import _chunks, _outcome_table
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -64,11 +71,36 @@ class TestJointState:
         assert joint_state(inst).squared_norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_cap(self):
-        n = 7
+        n = ORACLE_CAP + 1
         state = StateVector(n, np.eye(1 << n)[0])
         ch = Channel(tuple(mes_pair() for _ in range(n)))
-        with pytest.raises(ValueError):
-            joint_state(TeleportationInstance(state, ch, BHS))
+        inst = TeleportationInstance(state, ch, BHS)
+        for build in (joint_state, _measurement_state, cross_check):
+            with pytest.raises(ValueError, match=f"supports at most {ORACLE_CAP} qubit"):
+                build(inst)
+
+
+def with_product_pair(inst: TeleportationInstance) -> TeleportationInstance:
+    """``inst`` with its last pair replaced by the product state |00>."""
+    pairs = inst.channel.pairs[:-1] + (EntangledPair(np.eye(4)[0]),)
+    return TeleportationInstance(inst.input_state, Channel(pairs), inst.convention)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a complex array: equal bits are equal values, signed zeros included."""
+    return a.view(np.uint64)
+
+
+class TestMeasurementState:
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_is_the_rearranged_joint_state_bit_for_bit(self, n, conv):
+        rng = np.random.default_rng(90 + n)
+        for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
+            expected = rearrange_for_measurement(joint_state(inst), inst).amps
+            got = _measurement_state(inst)
+            assert got.shape == expected.shape == (1 << (3 * n),)
+            assert np.array_equal(bits(got), bits(expected))
 
 
 class TestRearrangeForMeasurement:
@@ -148,9 +180,13 @@ def outcomes(n: int):
 
 
 def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
-    """Max |diff| and the first outcome reaching it, one ``bell_project`` per outcome."""
+    """Max |diff| and the first outcome reaching it, one ``bell_project`` per outcome.
+
+    The predictions come from ``oracle._outcome_chunks``, so a test that patches
+    it patches them here too.
+    """
     rs = rearrange_for_measurement(joint_state(inst), inst)
-    predicted, _ = oracle._outcome_table(inst)
+    predicted = np.concatenate([chunk.copy() for _, chunk in oracle._outcome_chunks(inst)])
     max_diff, worst = -1.0, ()
     for out, row in zip(outcomes(inst.num_qubits), predicted):
         diff = float(np.abs(bell_project(rs, out).amps - row).max())
@@ -193,13 +229,57 @@ class TestProjectAllOutcomes:
         assert len(set(np.abs(exact).max(axis=1).tolist())) == 1
         predicted = exact.copy()
         predicted[[21, 50]] = 0.0
-        monkeypatch.setattr(oracle, "_outcome_table", lambda _: (predicted, None))
+        monkeypatch.setattr(
+            oracle, "_outcome_chunks", lambda _: ((rows, predicted[rows]) for rows, _ in _chunks(n))
+        )
         report = cross_check(inst)
         assert report.worst_outcome == outcomes(n)[21] == reference_cross_check(inst)[1]
         assert report.max_abs_diff == float(np.abs(exact[21]).max()) > 0.0
 
 
+def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
+    """Max |diff| and the first outcome reaching it, from the permuted ``np.kron``
+    joint state against the whole predicted table, a quarter of the outcomes at a time."""
+    n = inst.num_qubits
+    rs = rearrange_for_measurement(joint_state(inst), inst)
+    predicted, _ = _outcome_table(inst)
+    row_diff = np.empty(len(predicted))
+    size = len(predicted) // 4
+    for r in range(4):
+        rows = slice(r * size, (r + 1) * size)
+        residuals = _project(rs.amps, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1))
+        np.abs(residuals - predicted[rows]).max(axis=1, out=row_diff[rows])
+    worst = int(np.argmax(row_diff))
+    return float(row_diff[worst]), outcomes(n)[worst]
+
+
 class TestCrossCheck:
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_whole_table_comparison(self, n, conv):
+        rng = np.random.default_rng(120 + n)
+        for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
+            report = cross_check(inst)
+            assert (report.max_abs_diff, report.worst_outcome) == whole_table_cross_check(inst)
+
+    @pytest.mark.parametrize("n, conv", [(7, BHF), (7, BHS), (8, BHS)])
+    def test_passes_at_seven_and_eight_qubits(self, n, conv):
+        report = cross_check(random_instance(n, np.random.default_rng(130 + n), conv))
+        assert report.num_outcomes == 4**n
+        assert report.passed and report.max_abs_diff <= 1e-10
+
+    def test_takes_the_rearranged_state(self):
+        inst = random_instance(3, np.random.default_rng(131), BHF)
+        rs = rearrange_for_measurement(joint_state(inst), inst)
+        assert cross_check(inst, rearranged=rs.amps) == cross_check(inst)
+        with pytest.raises(ValueError, match="rearranged state has shape"):
+            cross_check(inst, rearranged=rs.amps.reshape(8, -1))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True])
+    def test_rejects_an_invalid_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            cross_check(random_instance(2, np.random.default_rng(132), BHS), tol)
+
     def test_random_instances_agree(self):
         rng = np.random.default_rng(80)
         for n in (1, 2, 3):
@@ -240,14 +320,15 @@ class TestCrossCheck:
     @pytest.mark.parametrize("row", [5, 62])
     def test_names_a_wrong_prediction(self, monkeypatch, row):
         """A row off by 1e-6, in the first or the last quarter of the outcomes."""
-        real = oracle._outcome_table
+        real = oracle._outcome_chunks
 
         def perturbed(inst):
-            table, probs = real(inst)
-            table[row, 1] += 1e-6
-            return table, probs
+            for rows, chunk in real(inst):
+                if rows.start <= row < rows.stop:
+                    chunk[row - rows.start, 1] += 1e-6
+                yield rows, chunk
 
-        monkeypatch.setattr(oracle, "_outcome_table", perturbed)
+        monkeypatch.setattr(oracle, "_outcome_chunks", perturbed)
         report = cross_check(random_instance(3, np.random.default_rng(88), BHF))
         assert report.passed is False
         assert report.worst_outcome == outcomes(3)[row]
@@ -271,7 +352,7 @@ class TestCrossCheck:
                 bell = reduce(np.kron, [bell_state(r) for r in out])
                 rebuilt += np.kron(bell, collapsed_state(inst, out).amps)
             np.testing.assert_allclose(rebuilt, rs.amps, atol=1e-12)
-            assert _reconstruction_diff(inst, enumerate_outcomes(inst)) <= 1e-12
+            assert _reconstruction_diff(rs.amps, enumerate_outcomes(inst)) <= 1e-12
 
     def test_reconstruction_diff_sees_swapped_records(self):
         inst = random_instance(2, np.random.default_rng(85), BHS)
@@ -283,4 +364,4 @@ class TestCrossCheck:
             table.fidelities[swap],
             table.invertible,
         )
-        assert _reconstruction_diff(inst, swapped) > 1e-3
+        assert _reconstruction_diff(_measurement_state(inst), swapped) > 1e-3
