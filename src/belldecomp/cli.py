@@ -30,7 +30,7 @@ from .decomposition import (
     pair_blocks,
     validate_outcome,
 )
-from .oracle import _measurement_state, _reconstruction_diff, cross_check
+from .oracle import _cross_check, _measurement_state, _reconstruction_diff
 from .protocol import (
     TeleportationInstance,
     _valid_seed,
@@ -273,7 +273,7 @@ def _verify_instance(
     # One joint state in measurement order serves the oracle and the
     # reconstruction check.
     rearranged = _measurement_state(inst)
-    report = cross_check(inst, tol=tol_eq, rearranged=rearranged)
+    report = _cross_check(inst, rearranged, tol_eq)
     status = "PASS" if report.passed else "FAIL"
     ok &= report.passed
     lines.append(

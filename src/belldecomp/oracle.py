@@ -5,8 +5,8 @@ and projects the measured qubits onto explicit Bell bras.  It deliberately
 never touches the decomposition module's blocks: the only shared ingredients
 are the raw Bell basis vectors, the raw input and pair amplitudes and the
 generic tensor utilities, so agreement between the two routes is
-meaningful.  Only ``cross_check`` and the reconstruction check read the block
-predictions, to compare them.
+meaningful.  Only ``_cross_check``, the comparison behind ``cross_check``, and
+the reconstruction check read the block predictions, to compare them.
 
 ``joint_state`` and ``rearrange_for_measurement`` build the state as
 ``np.kron`` products and permute it; ``_measurement_state`` multiplies the
@@ -184,12 +184,7 @@ class CrossCheckReport:
     passed: bool
 
 
-def cross_check(
-    inst: TeleportationInstance,
-    tol: float = DEFAULT_EQ_TOL,
-    *,
-    rearranged: np.ndarray | None = None,
-) -> CrossCheckReport:
+def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
     """Compare every outcome's block prediction against the projected residual.
 
     The oracle's residuals come from one pass per pair over the joint state
@@ -199,17 +194,22 @@ def cross_check(
     never held.  Memory holds the 16 * 8^N-byte state, one quarter of
     residuals with the step of the projection before it (each a quarter of
     the state), and two buffers of at most 4^4 predicted rows: about 400 MB
-    at N = 8.  ``rearranged``, the state's amplitudes as
-    ``rearrange_for_measurement`` orders them, is built when not given.
-    ``worst_outcome`` is the first outcome in lexicographic order that
-    reaches ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or
+    at N = 8.  ``worst_outcome`` is the first outcome in lexicographic order
+    that reaches ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or
     ValueError is raised before any state is built.
     """
+    return _cross_check(inst, None, tol)
+
+
+def _cross_check(
+    inst: TeleportationInstance, rs: np.ndarray | None, tol: float
+) -> CrossCheckReport:
+    """``cross_check``, against ``rs`` when given: ``_measurement_state(inst)``,
+    which CLI ``verify`` shares with the reconstruction check."""
     tol = _valid_tol(tol)
+    if rs is None:
+        rs = _measurement_state(inst)
     n = inst.num_qubits
-    rs = _measurement_state(inst) if rearranged is None else rearranged
-    if rs.shape != (1 << 3 * n,):
-        raise ValueError(f"rearranged state has shape {rs.shape}, expected ({1 << 3 * n},)")
     quarter = 4 ** (n - 1)
     row_diff = np.empty(4**n)
     residuals = None

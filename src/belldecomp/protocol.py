@@ -104,9 +104,10 @@ def _contract_pair(
     earlier qubits, so the next pair's input qubit leads and, after the last
     pair, the rows are outcome rows in lexicographic order.  The sampler and
     the single-outcome path pass rows = q = 1 and carry the receiver qubits
-    so far at the end of m instead.  ``buf`` holds the (k, 2, ...) product on the way.  Elementwise
-    products keep this off BLAS: threaded OpenBLAS calls of these shapes were
-    measured to stall for about 8 ms each on a 2-CPU machine.
+    so far at the end of m instead.  ``buf`` holds the (k, 2, ...) product on
+    the way.  Elementwise products keep this off BLAS: threaded OpenBLAS
+    calls of these shapes were measured to stall for about 8 ms each on a
+    2-CPU machine.
     """
     k = len(blocks)
     m, rows, q = t.shape
@@ -116,12 +117,6 @@ def _contract_pair(
     product = buf[:size].reshape(k, 2, -1)
     np.multiply(blocks[:, :, :1], t[0], out=product)
     product += blocks[:, :, 1:] * t[1]
-    if rows == q == 1:
-        # The same layout as below; three axes copy about 1 us faster, which
-        # shows on small draws and single outcomes.
-        moved = out[:size].reshape(m, k, 2)
-        moved[...] = product.transpose(2, 0, 1)
-        return moved
     moved = out[:size].reshape(m, rows, k, q, 2)
     moved[...] = product.reshape(k, 2, m, rows, q).transpose(2, 3, 0, 4, 1)
     return moved.reshape(m, rows * k, 2 * q)
@@ -477,13 +472,17 @@ def enumerate_outcomes(
     """
     invertible = not _non_invertible_pairs(inst.channel, tol)
     table, probs = _outcome_table(inst)
-    # numpy divides a complex by a real by multiplying with the reciprocal, so
-    # scaling the real and imaginary parts by it gives the same nonzero values
-    # at about a third of the cost.  Rows of zero probability come out 0 * inf = NaN
-    # and are zeroed.
+    # numpy divides a complex (re, im) by a real s as (re + im * 0, im - re * 0)
+    # times 1 / s.  The zero terms only set the signs of zero parts, so when
+    # no part is zero one multiply by the reciprocal gives the same bits at
+    # about two thirds of the cost.  Rows of zero probability come out
+    # 0/0 = NaN and are zeroed.
     flat = table.view(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        flat *= (1.0 / np.sqrt(probs))[:, None]
+        if flat.all():
+            flat *= (1.0 / np.sqrt(probs))[:, None]
+        else:
+            table /= np.sqrt(probs)[:, None]
     table[probs == 0.0] = 0.0
     if compute_recovery and invertible:
         fids = _recovery_fidelities(inst, table, tol)

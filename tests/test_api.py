@@ -78,7 +78,7 @@ def test_every_private_module_level_name_is_used():
 ORACLE_MAY_USE = {"TeleportationInstance", "PairingConvention", "BellOutcome", "validate_outcome"}
 
 # The oracle functions that read block predictions, to compare them.
-COMPARATORS = {"cross_check", "_reconstruction_diff"}
+COMPARATORS = {"_cross_check", "_reconstruction_diff"}
 
 
 def _module_tree(name: str) -> ast.Module:
@@ -100,7 +100,7 @@ def _names_read(node: ast.AST) -> set[str]:
 
 def test_the_oracle_uses_no_block_code():
     """Outside the comparators, nothing in the oracle reaches decomposition or protocol
-    beyond the instance types, and only ``cross_check`` reads the predicted outcome table."""
+    beyond the instance types, and only ``_cross_check`` reads the predicted outcome table."""
     block_side = (
         _defined_names(_module_tree("decomposition")) | _defined_names(_module_tree("protocol"))
     ) - ORACLE_MAY_USE
@@ -114,10 +114,11 @@ def test_the_oracle_uses_no_block_code():
     ]
     guarded = [(name, node) for name, node in body if name not in COMPARATORS]
     assert {
-        "joint_state", "rearrange_for_measurement", "_measurement_state", "bell_project", "_project"
+        "joint_state", "rearrange_for_measurement", "_measurement_state", "bell_project",
+        "_project", "cross_check",
     } <= {name for name, _ in guarded}
     reached = {name: sorted(_names_read(node) & block_side) for name, node in guarded}
     assert {name: used for name, used in reached.items() if used} == {}
     assert [name for name, node in body if "_outcome_chunks" in _names_read(node)] == [
-        "cross_check"
+        "_cross_check"
     ]

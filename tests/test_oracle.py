@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from belldecomp import (
+    DEFAULT_EQ_TOL,
     Channel,
     EntangledPair,
     OutcomeTable,
@@ -27,6 +28,7 @@ from belldecomp import oracle
 from belldecomp.oracle import (
     _BELL_BRAS,
     ORACLE_CAP,
+    _cross_check,
     _measurement_state,
     _project,
     _reconstruction_diff,
@@ -268,12 +270,10 @@ class TestCrossCheck:
         assert report.num_outcomes == 4**n
         assert report.passed and report.max_abs_diff <= 1e-10
 
-    def test_takes_the_rearranged_state(self):
+    def test_the_shared_state_comparison_is_cross_check(self):
         inst = random_instance(3, np.random.default_rng(131), BHF)
         rs = rearrange_for_measurement(joint_state(inst), inst)
-        assert cross_check(inst, rearranged=rs.amps) == cross_check(inst)
-        with pytest.raises(ValueError, match="rearranged state has shape"):
-            cross_check(inst, rearranged=rs.amps.reshape(8, -1))
+        assert _cross_check(inst, rs.amps, DEFAULT_EQ_TOL) == cross_check(inst, DEFAULT_EQ_TOL)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True])
     def test_rejects_an_invalid_tolerance(self, tol):

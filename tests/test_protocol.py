@@ -491,6 +491,21 @@ def degenerate_instance(n: int, conv, seed: int) -> TeleportationInstance:
     return TeleportationInstance(state, Channel(tuple(pairs)), conv)
 
 
+def phased_instance(n: int, conv, seed: int) -> TeleportationInstance:
+    """Input and pair amplitudes each real or imaginary, of either sign, and every
+    pair diagonal or antidiagonal: the collapsed states have zero parts of both signs."""
+    rng = np.random.default_rng(seed)
+    phases = np.array([1, -1, 1j, -1j])
+    x = rng.uniform(0.2, 1.0, 2**n) * rng.choice(phases, 2**n)
+    pairs = []
+    for _ in range(n):
+        y = np.zeros(4, dtype=complex)
+        nonzero = [0, 3] if rng.random() < 0.5 else [1, 2]
+        y[nonzero] = rng.uniform(0.2, 1.0, 2) * rng.choice(phases, 2)
+        pairs.append(EntangledPair(y / np.linalg.norm(y)))
+    return TeleportationInstance(StateVector(n, x / np.linalg.norm(x)), Channel(tuple(pairs)), conv)
+
+
 def dense_collapsed(inst: TeleportationInstance, outcome) -> StateVector:
     """(1/sqrt2)^N times the materialized decomposition matrix applied to the input."""
     n = inst.num_qubits
@@ -568,6 +583,23 @@ class TestOutcomeTable:
             rec.recovered_fidelity,
             rec.invertible,
         )
+
+    @pytest.mark.parametrize("make", [hard_instance, degenerate_instance, phased_instance])
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rows_are_the_division_by_the_norm_bit_for_bit(self, n, conv, make):
+        """Signed zeros included."""
+        inst = make(n, conv, seed=110 + n)
+        unnormalized, probs = _outcome_table(inst)
+        with np.errstate(invalid="ignore"):
+            expected = unnormalized / np.sqrt(probs)[:, None]
+        expected[probs == 0.0] = 0.0
+        assert enumerate_outcomes(inst).collapsed.tobytes() == expected.tobytes()
+        if make is phased_instance and n == 5:
+            # The division turns the sign of some zero parts, which scaling by
+            # the reciprocal alone would keep.
+            before, after = unnormalized.view(np.float64), expected.view(np.float64)
+            assert (np.signbit(before) != np.signbit(after))[before == 0.0].any()
 
     @pytest.mark.parametrize("make", [hard_instance, degenerate_instance])
     @pytest.mark.parametrize("conv", [BHF, BHS])
