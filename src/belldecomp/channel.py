@@ -33,16 +33,21 @@ _BELL_ROWS = np.array(
 
 @dataclass(frozen=True)
 class EntangledPair:
-    """One two-qubit channel pair: coefficients of |00>, |01>, |10>, |11>."""
+    """One two-qubit channel pair: coefficients of |00>, |01>, |10>, |11>.
+
+    ``y`` is a read-only copy of the coefficients given, so the blocks an
+    instance builds from it once stay valid.
+    """
 
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=np.complex128).reshape(-1)
+        y = np.array(self.y, dtype=np.complex128).reshape(-1)
         if y.size != 4:
             raise ValueError(f"a pair needs exactly 4 coefficients, got {y.size}")
         if not np.all(np.isfinite(y.view(np.float64))):
             raise ValueError("pair coefficients must be finite")
+        y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
     def amplitude_matrix(self) -> np.ndarray:

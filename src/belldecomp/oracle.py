@@ -54,6 +54,10 @@ _BELL_BRAS.flags.writeable = False
 # 5-8 ms (2-CPU Xeon); products with 512 columns stayed on one thread.
 _BLAS_COLUMNS = 512
 
+# Receiver columns per slice of ``_reconstruction_diff``: at N = 8 a slice of
+# the 268 MB table and each of ``_project``'s buffers for it take 17 MB.
+_RECONSTRUCTION_COLUMNS = 16
+
 
 def _check_cap(n: int) -> None:
     if n > ORACLE_CAP:
@@ -240,11 +244,20 @@ def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
     as ``_measurement_state`` builds them.  The sum runs through ``_project``
     one pair at a time: with the four Bell states as the columns of its
     (4, 4) "bras", contracting pair i's result axis turns it into that pair's
-    two measured qubits.
+    two measured qubits.  Every amplitude depends on one receiver column of
+    the table only, so the table is scaled and summed ``_RECONSTRUCTION_COLUMNS``
+    columns at a time and compared with the same columns of the state: no
+    full-size array is held beyond the state and the table.
     """
-    t = table.collapsed * np.sqrt(table.probabilities)[:, None]
     kets = np.array([bell_state(a) for a in (1, 2, 3, 4)]).T
-    n = table.collapsed.shape[1].bit_length() - 1
-    rebuilt = _project(t, [kets] * n).reshape(-1)
-    rebuilt -= rearranged
-    return float(np.abs(rebuilt).max())
+    rows, cols = table.collapsed.shape
+    n = cols.bit_length() - 1
+    state = rearranged.reshape(rows, cols)
+    scale = np.sqrt(table.probabilities)[:, None]
+    diff = 0.0
+    for c in range(0, cols, _RECONSTRUCTION_COLUMNS):
+        part = slice(c, c + _RECONSTRUCTION_COLUMNS)
+        rebuilt = _project(table.collapsed[:, part] * scale, [kets] * n)
+        rebuilt -= state[:, part]
+        diff = max(diff, float(np.abs(rebuilt).max()))
+    return diff

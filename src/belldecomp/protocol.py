@@ -14,7 +14,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .decomposition import (
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
+    _SIGMA_INV,
     _inverse_coefficient_matrix,
     _invertible,
-    inverse_pair_blocks,
     is_proportional_to_unitary,
     pair_blocks,
     validate_outcome,
@@ -70,6 +70,13 @@ class TeleportationInstance:
 
     The input state and every pair must have unit norm to within
     ``NORM_WARN_TOL``; the Born probabilities only sum to 1 when they do.
+
+    The blocks, determinants and inverse blocks depend on the channel and the
+    convention alone, so each is built on its first use and kept, as a
+    read-only stack or a tuple.  Every value they are built from is
+    immutable: the fields are frozen and pair coefficients are read-only.
+    Determinants are kept, never a verdict: each caller compares them with
+    its own tolerance.
     """
 
     input_state: StateVector
@@ -90,6 +97,38 @@ class TeleportationInstance:
     def num_qubits(self) -> int:
         return self.input_state.num_qubits
 
+    @cached_property
+    def _blocks(self) -> np.ndarray:
+        """Every pair's ``pair_blocks``, stacked as (N, 4, 2, 2)."""
+        return _read_only(np.stack([pair_blocks(p, self.convention) for p in self.channel.pairs]))
+
+    @cached_property
+    def _determinants(self) -> tuple[complex, ...]:
+        return tuple(map(pair_determinant, self.channel.pairs))
+
+    @cached_property
+    def _inverse_matrices(self) -> np.ndarray:
+        """Every pair's M^-1, stacked as (N, 2, 2).
+
+        Callers first check every determinant with ``_invertible`` at their
+        tolerance >= 0, so none is 0 and the check at 0 here never fails.
+        """
+        return _read_only(
+            np.stack(
+                [_inverse_coefficient_matrix(p, self.convention, 0.0) for p in self.channel.pairs]
+            )
+        )
+
+    @cached_property
+    def _inverse_blocks(self) -> np.ndarray:
+        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, stacked as (N, 4, 2, 2)."""
+        return _read_only(np.stack([_SIGMA_INV @ m for m in self._inverse_matrices]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def _contract_pair(
     blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
@@ -102,9 +141,9 @@ def _contract_pair(
     result is a view of ``out`` shaped (m / 2, rows * k, 2 * q): this pair's
     result follows the earlier results and its receiver qubit follows the
     earlier qubits, so the next pair's input qubit leads and, after the last
-    pair, the rows are outcome rows in lexicographic order.  The sampler and
-    the single-outcome path pass rows = q = 1 and carry the receiver qubits
-    so far at the end of m instead.  ``buf`` holds the (k, 2, ...) product on
+    pair, the rows are outcome rows in lexicographic order.  The table
+    passes use it; the sampler and single outcomes use ``_apply_blocks``,
+    whose arithmetic is the same.  ``buf`` holds the (k, 2, ...) product on
     the way.  Elementwise products keep this off BLAS: threaded OpenBLAS
     calls of these shapes were measured to stall for about 8 ms each on a
     2-CPU machine.
@@ -122,20 +161,34 @@ def _contract_pair(
     return moved.reshape(m, rows * k, 2 * q)
 
 
-def _contract_outcome(
-    stacks: Sequence[np.ndarray], outcome: BellOutcome, t: np.ndarray
-) -> StateVector:
+def _apply_blocks(blocks: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """``out[m', ..., b] = blocks[..., b, 0] t[0, m'] + blocks[..., b, 1] t[1, m']``.
+
+    ``t`` holds 2^n amplitudes whose leading qubit is this pair's input
+    qubit, and ``blocks`` is one (2, 2) block or a (k, 2, 2) stack; ``out``
+    is (2^(n-1), 2) or (2^(n-1), k, 2), so the pair's receiver qubit follows
+    the qubits still to measure.  These are the multiplies and the add of
+    ``_contract_pair`` element for element, written straight into ``out``.
+    The block must be the first factor: numpy's complex multiply is not bit
+    for bit symmetric in its operands.
+    """
+    t = t.reshape((2, -1) + (1,) * (blocks.ndim - 1))
+    np.multiply(blocks[..., 0], t[0], out=out)
+    out += blocks[..., 1] * t[1]
+
+
+def _contract_outcome(stacks: np.ndarray, outcome: BellOutcome, t: np.ndarray) -> StateVector:
     """Each pair's block for its result in ``outcome``, applied to the amplitudes ``t``.
 
-    The one-row case of the table passes: each pair's block stack is cut to
-    the outcome's result, and with one result per pair the interleaved layout
-    of the last contraction is already the amplitudes in order.
+    ``stacks`` is (N, 4, 2, 2).  Pair i's step moves its receiver qubit
+    behind the rest, so after the last pair the amplitudes are in order.
     """
     n = len(outcome)
-    buf, out = (np.empty(1 << n, dtype=np.complex128) for _ in range(2))
     for s, r in zip(stacks, outcome):
-        t = _contract_pair(s[r - 1 : r], t.reshape(-1, 1, 1), buf, out)
-    return StateVector(n, out)
+        out = np.empty((1 << (n - 1), 2), dtype=np.complex128)
+        _apply_blocks(s[r - 1], t, out)
+        t = out
+    return StateVector(n, t)
 
 
 def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> StateVector:
@@ -147,13 +200,11 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
-    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
-    return _contract_outcome(stacks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
+    return _contract_outcome(inst._blocks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
 
 
-def _non_invertible_pairs(channel: Channel, tol: float) -> tuple[int, ...]:
-    dets = map(pair_determinant, channel.pairs)
-    return tuple(i for i, d in enumerate(dets, start=1) if not _invertible(d, tol))
+def _non_invertible_pairs(inst: TeleportationInstance, tol: float) -> tuple[int, ...]:
+    return tuple(i for i, d in enumerate(inst._determinants, start=1) if not _invertible(d, tol))
 
 
 def recover(
@@ -165,25 +216,27 @@ def recover(
     """Undo the outcome's blocks, renormalize, and report fidelity to the input.
 
     Each pair's inverse block sigma_r^-1 M^-1 for its result is applied with
-    the per-pair kernel of ``collapsed_state``.  ``enumerate_outcomes`` gets
-    the same fidelities, to rounding, from one shared M^-1 product per run of
-    table rows read in each outcome's Pauli frame.  Raises NotInvertibleError
-    naming the offending pair(s) when any pair determinant magnitude is at or
-    below ``tol``, and ValueError unless ``tol`` is a finite number >= 0.
+    the per-pair step of ``collapsed_state``; the instance builds the
+    inverse blocks on the first call that passes the check below and keeps
+    them.  ``enumerate_outcomes`` gets the same fidelities, to rounding, from
+    one shared M^-1 product per run of table rows read in each outcome's
+    Pauli frame.  Every call compares the pair determinants with its own
+    ``tol``: it raises NotInvertibleError naming the offending pair(s) when
+    any determinant magnitude is at or below ``tol``, and ValueError unless
+    ``tol`` is a finite number >= 0.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
     if collapsed.num_qubits != n:
         raise ValueError(f"collapsed state has {collapsed.num_qubits} qubit(s), expected {n}")
-    bad = _non_invertible_pairs(inst.channel, tol)
+    bad = _non_invertible_pairs(inst, tol)
     if bad:
         raise NotInvertibleError(
             f"pair(s) {', '.join(map(str, bad))} have determinant magnitude <= {tol:.3e}; "
             "recovery transform does not exist",
             pair_indices=bad,
         )
-    stacks = [inverse_pair_blocks(p, inst.convention, tol) for p in inst.channel.pairs]
-    recovered = _contract_outcome(stacks, out, collapsed.amps).normalized()
+    recovered = _contract_outcome(inst._inverse_blocks, out, collapsed.amps).normalized()
     return recovered, fidelity(recovered, inst.input_state)
 
 
@@ -292,12 +345,12 @@ def _outcome_chunks(
     chunk overwrites.  The caller checks ``ENUMERATION_CAP``.
     """
     n = inst.num_qubits
-    stacks = [pair_blocks(p, inst.convention) for p in inst.channel.pairs]
+    stacks = inst._blocks
     x = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
     buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
     for rows, prefix in _chunks(n):
         # The leading pairs contribute only the block for the chunk's result.
-        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + stacks[len(prefix) :]
+        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + list(stacks[len(prefix) :])
         t = x
         for b in blocks[:-1]:
             t = _contract_pair(b, t, buf, out)
@@ -370,9 +423,7 @@ def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield rows, out.reshape(len(out), -1)
 
 
-def _recovery_fidelities(
-    inst: TeleportationInstance, collapsed: np.ndarray, tol: float
-) -> np.ndarray:
+def _recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> np.ndarray:
     """Fidelity to the input of every row of ``collapsed`` after its inverse blocks.
 
     The rows are the 4^N outcomes' collapsed states c_r in lexicographic
@@ -383,13 +434,11 @@ def _recovery_fidelities(
     W c_r has with Sigma_r x, and no per-outcome inverse is applied: each
     chunk of rows is multiplied by W^T in one matrix product, and each row of
     the product is read against the input in its own outcome's frame.  Rows
-    of zero norm give NaN.
+    of zero norm give NaN.  The caller has checked that every pair is
+    invertible.
     """
     n = inst.num_qubits
-    w_t = reduce(
-        np.kron,
-        [_inverse_coefficient_matrix(p, inst.convention, tol) for p in inst.channel.pairs],
-    ).T
+    w_t = reduce(np.kron, inst._inverse_matrices).T
     x2 = inst.input_state.squared_norm()
     fid = np.empty(4**n)
     z = np.empty((_chunk_rows(n), 1 << n), dtype=np.complex128)
@@ -470,7 +519,7 @@ def enumerate_outcomes(
     amplitudes are a row view of that one array.  ``tol`` must be a finite
     number >= 0, or ValueError is raised before any state is built.
     """
-    invertible = not _non_invertible_pairs(inst.channel, tol)
+    invertible = not _non_invertible_pairs(inst, tol)
     table, probs = _outcome_table(inst)
     # numpy divides a complex (re, im) by a real s as (re + im * 0, im - re * 0)
     # times 1 / s.  The zero terms only set the signs of zero parts, so when
@@ -485,7 +534,7 @@ def enumerate_outcomes(
             table /= np.sqrt(probs)[:, None]
     table[probs == 0.0] = 0.0
     if compute_recovery and invertible:
-        fids = _recovery_fidelities(inst, table, tol)
+        fids = _recovery_fidelities(inst, table)
     else:
         fids = np.full(len(table), np.nan)
     for a in (probs, table, fids):
@@ -529,9 +578,10 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     Kraus completeness the squared norms of pair i's four blocks applied to
     the running state are proportional to the probabilities of the results
     drawn so far followed by each result of pair i, so each step picks one of
-    four children of the running state and keeps it.  A draw costs O(N * 2^N)
-    and two buffers of 4 * 2^N amplitudes; the 4^N outcomes are never
-    tabulated.  Zero-probability outcomes are never produced.
+    four children of the running state and keeps it.  A draw costs O(N * 2^N),
+    one buffer of 4 * 2^N amplitudes for the children and one of 2^N for the
+    running state; the 4^N outcomes are never tabulated.  Zero-probability
+    outcomes are never produced.
     """
     seed = _valid_seed(seed)
     n = inst.num_qubits
@@ -540,18 +590,14 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
             f"refusing to sample {n}-qubit outcomes (cap is {ENUMERATION_CAP} qubits)"
         )
     u = np.random.default_rng(seed).random()
-    # The running state lives in the first 2^N amplitudes of ``t``; each pair's
-    # children are written over it, and the kept one is copied into ``spare``.
-    t, spare = (np.empty(4 << n, dtype=np.complex128) for _ in range(2))
-    t[: 1 << n] = inst.input_state.amps
+    state = inst.input_state.amps.copy()
+    children = np.empty((1 << (n - 1), 4, 2), dtype=np.complex128)
+    flat = children.view(np.float64)
     outcome = []
-    for p in inst.channel.pairs:
-        state = t[: 1 << n].reshape(-1, 1, 1)
-        children = _contract_pair(pair_blocks(p, inst.convention), state, spare, t)
-        flat = children.view(np.float64)
+    for blocks in inst._blocks:
+        _apply_blocks(blocks, state, children)
         r, u = _inverse_cdf_step(np.einsum("ikj,ikj->k", flat, flat).tolist(), u)
-        spare[: 1 << n].reshape(-1, 2)[...] = children[:, r]
-        t, spare = spare, t
+        state.reshape(-1, 2)[...] = children[:, r]
         outcome.append(r + 1)
     return tuple(outcome)
 

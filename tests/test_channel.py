@@ -49,6 +49,16 @@ class TestEntangledPair:
         with pytest.raises(ValueError):
             EntangledPair(np.array([np.inf, 0, 0, 0]))
 
+    def test_coefficients_are_a_read_only_copy(self):
+        """An instance keeps blocks built from ``y``, so ``y`` must not change under it."""
+        given = np.array([0.8, 0.0, 0.0, 0.6], dtype=complex)
+        p = EntangledPair(given)
+        with pytest.raises(ValueError, match="read-only"):
+            p.y[0] = 1.0
+        assert given.flags.writeable
+        given[0] = 1.0
+        assert p.y[0] == 0.8
+
     def test_amplitude_matrix_layout(self):
         p = EntangledPair(np.array([1, 2, 3, 4], dtype=complex))
         assert np.array_equal(p.amplitude_matrix(), np.array([[1, 2], [3, 4]], dtype=complex))

@@ -33,11 +33,12 @@ from belldecomp import (
     sample_outcome,
     sub_matrix,
 )
-from belldecomp.channel import NORM_WARN_TOL
-from belldecomp.decomposition import DEFAULT_INVERTIBILITY_TOL, SIGMA, inverse_pair_blocks
+from belldecomp.channel import NORM_WARN_TOL, pair_determinant
+from belldecomp.decomposition import SIGMA, inverse_pair_blocks, pair_blocks
 from belldecomp.protocol import (
     _chunk_frames,
     _inverse_cdf_step,
+    _outcome_chunks,
     _outcome_table,
     _recovery_fidelities,
 )
@@ -301,12 +302,15 @@ def outcome_index(outcome) -> int:
 
 
 class InverseCdf:
-    """Draws by inverting the cumulative distribution of the per-outcome
-    ``collapsed_state`` probabilities, in lexicographic order of the outcomes."""
+    """Draws by inverting the cumulative distribution of the outcome probabilities
+    ``probs``, by default those of the per-outcome ``collapsed_state``, in
+    lexicographic order of the outcomes."""
 
-    def __init__(self, inst: TeleportationInstance):
+    def __init__(self, inst: TeleportationInstance, probs: np.ndarray | None = None):
         self.outcomes = list(itertools.product((1, 2, 3, 4), repeat=inst.num_qubits))
-        self.probs = np.array([collapsed_state(inst, out).squared_norm() for out in self.outcomes])
+        if probs is None:
+            probs = np.array([collapsed_state(inst, out).squared_norm() for out in self.outcomes])
+        self.probs = probs
         self.cum = np.cumsum(self.probs)
 
     def draw(self, seed: int):
@@ -417,7 +421,7 @@ class TestSampleOutcome:
         assert sample_outcome(inst, seed) == sample_outcome(inst, 5)
 
     def test_one_draw_at_the_cap_allocates_under_1_mb(self):
-        """A draw holds two buffers of 4 * 2^N amplitudes, 32 KB at N = 8, where the
+        """A draw holds buffers of 4 * 2^N and 2^N amplitudes, 20 KB at N = 8, where the
         (4^8, 2^8) outcome table takes 268 MB.  numpy reports its allocations to
         tracemalloc, so the peak bounds what the algorithm allocates, not its time."""
         inst = random_instance(8, np.random.default_rng(160), BHS)
@@ -712,7 +716,7 @@ class TestRecoveryKernel:
         for k in (0, 37, 63):
             collapsed = table.collapsed.copy()
             collapsed[k, 5] += 0.25
-            fids = _recovery_fidelities(inst, collapsed, DEFAULT_INVERTIBILITY_TOL)
+            fids = _recovery_fidelities(inst, collapsed)
             assert fids[k] < 1.0 - 1e-3
             others = np.arange(len(fids)) != k
             assert np.array_equal(fids[others], table.fidelities[others])
@@ -724,6 +728,86 @@ class TestRecoveryKernel:
         for k, out in enumerate(itertools.product((1, 2, 3, 4), repeat=6)):
             _, fid = recover(collapsed_state(inst, out), inst, out)
             assert abs(table.fidelities[k] - fid) <= 1e-12, out
+
+
+def outcome_at(k: int, n: int):
+    """The k-th outcome in lexicographic order of the per-pair results."""
+    return tuple(int(d) + 1 for d in np.unravel_index(k, (4,) * n))
+
+
+def table_probabilities(inst: TeleportationInstance) -> np.ndarray:
+    """The Born probabilities of the table's rows, a chunk of rows at a time."""
+    probs = []
+    for _, rows in _outcome_chunks(inst):
+        flat = rows.view(np.float64)
+        probs.append(np.einsum("ij,ij->i", flat, flat))
+    return np.concatenate(probs)
+
+
+class TestOneOutcomeIsTheTableArithmetic:
+    """``collapsed_state``, ``recover`` and the sampler apply one outcome's blocks with a
+    step of their own, not the table kernel.  It must do the table's arithmetic bit for
+    bit: numpy's complex multiply is not bit for bit symmetric in its operands, and a
+    length-1 shape at n = 1 may take another loop."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_collapsed_state_is_the_table_row(self, n, conv):
+        """The rows ``_outcome_chunks`` yields are those it writes into the table."""
+        inst = random_instance(n, np.random.default_rng(180 + n), conv)
+        for rows, predicted in _outcome_chunks(inst):
+            for k in {0, len(predicted) // 3, len(predicted) - 1}:
+                out = outcome_at(rows.start + k, n)
+                assert collapsed_state(inst, out).amps.tobytes() == predicted[k].tobytes(), out
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_draws_are_the_inverse_cdf_of_the_table(self, n, conv):
+        inst = random_instance(n, np.random.default_rng(190 + n), conv)
+        reference = InverseCdf(inst, table_probabilities(inst))
+        for seed in range(40):
+            assert sample_outcome(inst, seed) == reference.draw(seed)
+
+
+class TestInstanceCaches:
+    """An instance builds its blocks, determinants and inverse blocks once and keeps
+    them.  They must be the per-pair builders' values bit for bit, read-only, and
+    never a verdict: every call judges invertibility with its own tolerance."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_stacks_are_the_per_pair_blocks(self, conv):
+        inst = random_instance(8, np.random.default_rng(200), conv)
+        for i, p in enumerate(inst.channel.pairs):
+            assert inst._blocks[i].tobytes() == pair_blocks(p, conv).tobytes()
+            assert inst._inverse_blocks[i].tobytes() == inverse_pair_blocks(p, conv).tobytes()
+            assert inst._determinants[i] == pair_determinant(p)
+        for stack in (inst._blocks, inst._inverse_matrices, inst._inverse_blocks):
+            assert not stack.flags.writeable
+        assert inst._blocks is inst._blocks
+
+    def test_a_second_tolerance_gets_its_own_verdict(self):
+        t = 0.5 * math.asin(2e-3)  # |det| = cos t sin t = 1e-3
+        ch = Channel((mes_pair(), diagonal_pair(math.cos(t), math.sin(t))))
+        inst = TeleportationInstance(random_state(2, np.random.default_rng(210)), ch, BHS)
+        out = (1, 3)
+        c = collapsed_state(inst, out)
+        _, fid = recover(c, inst, out, tol=0)
+        assert fid == pytest.approx(1.0, abs=1e-12)
+        det = abs(pair_determinant(ch.pairs[1]))
+        with pytest.raises(NotInvertibleError) as err:
+            recover(c, inst, out, tol=det)
+        assert err.value.pair_indices == (2,)
+        assert not enumerate_outcomes(inst, tol=det).invertible
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300])
+    def test_bad_tolerance_after_the_caches_are_built(self, tol):
+        inst = hard_instance(2, BHS, seed=170)
+        c = collapsed_state(inst, (1, 2))
+        recover(c, inst, (1, 2))
+        enumerate_outcomes(inst)
+        for call in (lambda: recover(c, inst, (1, 2), tol), lambda: enumerate_outcomes(inst, tol)):
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                call()
 
 
 BAD_TOLERANCES = [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, "1e-9", None]
