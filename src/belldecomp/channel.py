@@ -50,6 +50,12 @@ class EntangledPair:
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
 
+    def __eq__(self, other: object) -> bool:
+        """Exactly equal coefficients."""
+        if not isinstance(other, EntangledPair):
+            return NotImplemented
+        return np.array_equal(self.y, other.y)
+
     def amplitude_matrix(self) -> np.ndarray:
         """Coefficients as a 2x2 matrix, first qubit indexing rows."""
         return self.y.reshape(2, 2)

@@ -17,7 +17,12 @@ N = 8.
 A projection contracts each measured pair's axis against a stack of
 conjugated Bell bras, one pair at a time.  ``bell_project`` keeps one bra per
 pair; ``cross_check`` keeps all four and so gets every outcome's residual in
-one pass per pair, a quarter of the outcomes at a time.
+one pass per pair, a quarter of the outcomes at a time.  Every Bell bra is
+real (entries 0 and +-1/sqrt(2)), so a pass acts alike on the real and the
+imaginary parts: it runs on the state's interleaved (re, im) float64 view
+as real matrix products, and the imaginary parts of the bras, all zero,
+would add only exact zeros.  ``cross_check`` writes its passes into two
+quarter-size buffers in turn instead of a new array per pass.
 """
 
 from __future__ import annotations
@@ -45,17 +50,27 @@ __all__ = [
 # we build.
 ORACLE_CAP = 8
 
-# Row a - 1 is the bra of Bell state a: the conjugated amplitudes.
-_BELL_BRAS = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
-_BELL_BRAS.flags.writeable = False
 
-# Columns per matrix product in ``_project``.  With OpenBLAS on 2 threads, a
-# (1, 4) x (4, 1024) complex product already ran threaded and stalled for
-# 5-8 ms (2-CPU Xeon); products with 512 columns stayed on one thread.
-_BLAS_COLUMNS = 512
+def _real_bras() -> np.ndarray:
+    """Row a - 1 is the bra of Bell state a: its conjugated amplitudes, which are real."""
+    bras = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
+    if bras.imag.any():
+        raise RuntimeError("the oracle's float-view projection needs real Bell bras")
+    real = np.ascontiguousarray(bras.real)
+    real.flags.writeable = False
+    return real
+
+
+_BELL_BRAS = _real_bras()
+
+# Float columns per matrix product in ``_project``: 1,024 floats are 512
+# complex amplitudes.  With OpenBLAS on 2 threads, a (1, 4) x (4, 1024)
+# complex product, 2,048 floats wide, already ran threaded and stalled for
+# 5-8 ms (2-CPU Xeon); products 512 complex columns wide stayed on one thread.
+_BLAS_COLUMNS = 1024
 
 # Receiver columns per slice of ``_reconstruction_diff``: at N = 8 a slice of
-# the 268 MB table and each of ``_project``'s buffers for it take 17 MB.
+# the 268 MB table and each of ``_project``'s passes over it take 17 MB.
 _RECONSTRUCTION_COLUMNS = 16
 
 
@@ -140,25 +155,35 @@ def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _project(amps: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
-    """Contract each measured pair of a rearranged state against a stack of bras.
+def _project(
+    amps: np.ndarray, bras: list[np.ndarray], buffers: Sequence[np.ndarray] = ()
+) -> np.ndarray:
+    """Contract each measured pair of a rearranged state against a stack of real bras.
 
-    ``bras[i]`` is (k_i, 4), the bras of the Bell results kept for pair i.
-    Row j of the (k_1 * ... * k_N, 2^N) result is the receiver's residual for
-    the j-th kept outcome in lexicographic order.  Contracting pair i leaves
-    its result axis where its measured axis was.  The axes after the
-    measured one are cut into blocks of ``_BLAS_COLUMNS`` columns, and each
-    block is one small matrix product.
+    ``bras[i]`` is a real (k_i, 4) array, the bras of the Bell results kept
+    for pair i.  Row j of the complex (k_1 * ... * k_N, 2^N) result is the
+    receiver's residual for the j-th kept outcome in lexicographic order.
+    Contracting pair i leaves its result axis where its measured axis was.
+    The passes run on the float64 view of ``amps`` (made C-contiguous
+    first), whose trailing axis interleaves real and imaginary parts: the
+    axes after the measured one are cut into blocks of ``_BLAS_COLUMNS``
+    floats, and each block is one small real matrix product.  Given two
+    float ``buffers``, pass i writes into the front of ``buffers[i % 2]``,
+    and the result is a view of one of them; otherwise every pass allocates.
     """
-    t, rows = amps, 1
-    for b in bras:
+    t, rows = np.ascontiguousarray(amps).view(np.float64), 1
+    for i, b in enumerate(bras):
         cols = t.size // (4 * rows)
         block = min(cols, _BLAS_COLUMNS)
-        out = np.empty((rows, len(b), cols // block, block), dtype=np.complex128)
+        shape = (rows, len(b), cols // block, block)
+        if buffers:
+            out = buffers[i % 2][: rows * len(b) * cols].reshape(shape)
+        else:
+            out = np.empty(shape)
         x = t.reshape(rows, 4, cols // block, block)
         np.matmul(b, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
         t, rows = out, rows * len(b)
-    return t.reshape(rows, -1)
+    return t.reshape(rows, -1).view(np.complex128)
 
 
 def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
@@ -166,7 +191,9 @@ def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
 
     Returns the receiver's unnormalized residual; summed over all outcomes the
     squared norms add up to the total squared norm of ``rs``.  This is the
-    one-row case of the projection ``cross_check`` makes of all outcomes.
+    one-row case of the projection ``cross_check`` makes of all outcomes: one
+    real bra per pair, applied to the float view of a C-contiguous copy of
+    ``rs.amps`` (no copy when they already are), so any ``StateVector`` works.
     """
     out = validate_outcome(outcome, len(outcome))
     n = len(out)
@@ -195,12 +222,15 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
     in measurement order, a quarter of the outcomes at a time: those that
     share the first pair's result.  The predictions come chunk by chunk and
     are compared against the quarter they fall in, so the (4^N, 2^N) table is
-    never held.  Memory holds the 16 * 8^N-byte state, one quarter of
-    residuals with the step of the projection before it (each a quarter of
-    the state), and two buffers of at most 4^4 predicted rows: about 400 MB
-    at N = 8.  ``worst_outcome`` is the first outcome in lexicographic order
-    that reaches ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or
-    ValueError is raised before any state is built.
+    never held.  The projection runs as real matrix products of the real
+    Bell bras with the state's float view, and its passes alternate between
+    two float buffers, each a quarter of the state, allocated once per call;
+    each chunk of predictions is subtracted from its residual rows in place.
+    Memory holds the 16 * 8^N-byte state, the two buffers, and two buffers
+    of at most 4^4 predicted rows: about 400 MB at N = 8.  ``worst_outcome``
+    is the first outcome in lexicographic order that reaches
+    ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or ValueError is
+    raised before any state is built.
     """
     return _cross_check(inst, None, tol)
 
@@ -216,13 +246,13 @@ def _cross_check(
     n = inst.num_qubits
     quarter = 4 ** (n - 1)
     row_diff = np.empty(4**n)
-    residuals = None
+    buffers = (np.empty(rs.size // 2), np.empty(rs.size // 2))  # a quarter of rs, in floats
     for rows, predicted in _outcome_chunks(inst):
         r, start = divmod(rows.start, quarter)
         if start == 0:
-            residuals = None  # freed before the next quarter is projected
-            residuals = _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1))
-        diff = residuals[start : start + len(predicted)] - predicted
+            residuals = _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1), buffers)
+        diff = residuals[start : start + len(predicted)]
+        diff -= predicted
         np.abs(diff).max(axis=1, out=row_diff[rows])
     worst = int(np.argmax(row_diff))
     max_diff = float(row_diff[worst])
@@ -244,12 +274,13 @@ def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
     as ``_measurement_state`` builds them.  The sum runs through ``_project``
     one pair at a time: with the four Bell states as the columns of its
     (4, 4) "bras", contracting pair i's result axis turns it into that pair's
-    two measured qubits.  Every amplitude depends on one receiver column of
+    two measured qubits.  The Bell states are real, so these columns are the
+    transposed ``_BELL_BRAS``.  Every amplitude depends on one receiver column of
     the table only, so the table is scaled and summed ``_RECONSTRUCTION_COLUMNS``
     columns at a time and compared with the same columns of the state: no
     full-size array is held beyond the state and the table.
     """
-    kets = np.array([bell_state(a) for a in (1, 2, 3, 4)]).T
+    kets = _BELL_BRAS.T
     rows, cols = table.collapsed.shape
     n = cols.bit_length() - 1
     state = rearranged.reshape(rows, cols)

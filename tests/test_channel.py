@@ -6,6 +6,9 @@ import pytest
 from belldecomp import (
     Channel,
     EntangledPair,
+    PairingConvention,
+    StateVector,
+    TeleportationInstance,
     bell_state,
     channel_criterion,
     pair_determinant,
@@ -66,6 +69,30 @@ class TestEntangledPair:
     def test_channel_needs_a_pair(self):
         with pytest.raises(ValueError):
             Channel(())
+
+
+class TestPairEquality:
+    def test_equal_coefficients_compare_equal(self):
+        p = EntangledPair(np.array([0.8, 0.0, 0.0, 0.6j]))
+        assert p == EntangledPair(p.y.copy())
+        assert p in [mes_pair(), p]
+
+    def test_any_difference_compares_unequal(self):
+        p = EntangledPair(np.array([0.8, 0.0, 0.0, 0.6]))
+        assert p != EntangledPair(np.array([0.8, 0.0, 0.0, np.nextafter(0.6, 1.0)]))
+        assert p != EntangledPair(np.array([0.6, 0.0, 0.0, 0.8]))
+        assert p.__eq__(p.y) is NotImplemented and p != "pair"
+
+    def test_equal_channels_and_instances_compare_equal(self):
+        pairs = (mes_pair(), EntangledPair(np.array([0.8, 0.0, 0.0, 0.6])))
+        copies = tuple(EntangledPair(p.y.copy()) for p in pairs)
+        assert Channel(pairs) == Channel(copies)
+        assert Channel(pairs) != Channel(copies[::-1])
+        state = StateVector(2, np.array([0.6, 0.0, 0.0, 0.8]))
+        conv = PairingConvention.BOB_HOLDS_SECOND
+        inst = TeleportationInstance(state, Channel(pairs), conv)
+        assert inst == TeleportationInstance(StateVector(2, state.amps.copy()), Channel(copies), conv)
+        assert inst != TeleportationInstance(state, Channel(pairs), PairingConvention.BOB_HOLDS_FIRST)
 
 
 class TestPairDeterminant:

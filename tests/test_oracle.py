@@ -239,20 +239,92 @@ class TestProjectAllOutcomes:
         assert report.max_abs_diff == float(np.abs(exact[21]).max()) > 0.0
 
 
+# The conjugated Bell amplitudes as complex bras, as the projection used them
+# before it ran on the float view.
+COMPLEX_BRAS = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
+
+
+def complex_project(amps: np.ndarray, n: int) -> np.ndarray:
+    """Every outcome's residual from complex matrix products: each pair's measured
+    axis against all four ``COMPLEX_BRAS``, in blocks of 512 complex columns."""
+    t, rows = amps, 1
+    for _ in range(n):
+        cols = t.size // (4 * rows)
+        block = min(cols, 512)
+        out = np.empty((rows, 4, cols // block, block), dtype=np.complex128)
+        x = t.reshape(rows, 4, cols // block, block)
+        np.matmul(COMPLEX_BRAS, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
+        t, rows = out, rows * 4
+    return t.reshape(rows, -1)
+
+
+def with_phased_input(inst: TeleportationInstance) -> TeleportationInstance:
+    """``inst`` with each input amplitude k turned by the phase e^(i k)."""
+    x = inst.input_state
+    phased = StateVector(x.num_qubits, x.amps * np.exp(1j * np.arange(len(x.amps))))
+    return TeleportationInstance(phased, inst.channel, inst.convention)
+
+
 def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
     """Max |diff| and the first outcome reaching it, from the permuted ``np.kron``
-    joint state against the whole predicted table, a quarter of the outcomes at a time."""
+    joint state projected by ``complex_project`` against the whole predicted table."""
     n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
     predicted, _ = _outcome_table(inst)
-    row_diff = np.empty(len(predicted))
-    size = len(predicted) // 4
-    for r in range(4):
-        rows = slice(r * size, (r + 1) * size)
-        residuals = _project(rs.amps, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1))
-        np.abs(residuals - predicted[rows]).max(axis=1, out=row_diff[rows])
+    row_diff = np.abs(complex_project(rs.amps, n) - predicted).max(axis=1)
     worst = int(np.argmax(row_diff))
     return float(row_diff[worst]), outcomes(n)[worst]
+
+
+class TestFloatViewProjection:
+    def test_bras_are_the_conjugated_bell_states(self):
+        assert _BELL_BRAS.dtype == np.float64 and _BELL_BRAS.flags.c_contiguous
+        assert not _BELL_BRAS.flags.writeable
+        for a in (1, 2, 3, 4):
+            assert np.array_equal(_BELL_BRAS[a - 1], np.conj(bell_state(a)))
+        assert np.array_equal(_BELL_BRAS, COMPLEX_BRAS)
+
+    def test_complex_bell_states_are_refused(self, monkeypatch):
+        monkeypatch.setattr(oracle, "bell_state", lambda a: np.exp(0.1j) * bell_state(a))
+        with pytest.raises(RuntimeError, match="real Bell bras"):
+            oracle._real_bras()
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_residuals_equal_the_complex_products(self, n, conv):
+        """Whole table, and the quarters ``cross_check`` projects into its two buffers."""
+        rng = np.random.default_rng(140 + n)
+        inst = random_instance(n, rng, conv)
+        for case in (inst, with_product_pair(inst), with_phased_input(inst)):
+            rs = _measurement_state(case)
+            expected = complex_project(rs, n)
+            assert np.array_equal(_project(rs, [_BELL_BRAS] * n), expected)
+            buffers = (np.empty(rs.size // 2), np.empty(rs.size // 2))
+            quarters = [
+                _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1), buffers).copy()
+                for r in range(4)
+            ]
+            assert np.array_equal(np.concatenate(quarters), expected)
+
+    def test_passes_alternate_between_the_buffers(self):
+        n = 3
+        rs = _measurement_state(random_instance(n, np.random.default_rng(147), BHS))
+        buffers = (np.full(rs.size // 2, np.nan), np.full(rs.size // 2, np.nan))
+        bras = [_BELL_BRAS[2:3]] + [_BELL_BRAS] * (n - 1)
+        got = _project(rs, bras, buffers)
+        assert np.shares_memory(got, buffers[(n - 1) % 2])
+        assert not np.isnan(buffers[0]).any() and not np.isnan(buffers[1]).any()
+        assert np.array_equal(got, _project(rs, bras))
+
+    def test_bell_project_takes_a_strided_state(self):
+        inst = random_instance(2, np.random.default_rng(148), BHF)
+        rs = rearrange_for_measurement(joint_state(inst), inst)
+        padded = np.zeros(2 * len(rs.amps), dtype=complex)
+        padded[::2] = rs.amps
+        strided = StateVector(rs.num_qubits, padded[::2])
+        assert not strided.amps.flags.c_contiguous
+        for out in outcomes(2):
+            assert bell_project(strided, out) == bell_project(rs, out)
 
 
 class TestCrossCheck:
@@ -263,6 +335,11 @@ class TestCrossCheck:
         for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
             report = cross_check(inst)
             assert (report.max_abs_diff, report.worst_outcome) == whole_table_cross_check(inst)
+
+    def test_matches_the_whole_table_comparison_at_seven_qubits(self):
+        inst = random_instance(7, np.random.default_rng(127), BHS)
+        report = cross_check(inst)
+        assert (report.max_abs_diff, report.worst_outcome) == whole_table_cross_check(inst)
 
     @pytest.mark.parametrize("n, conv", [(7, BHF), (7, BHS), (8, BHS)])
     def test_passes_at_seven_and_eight_qubits(self, n, conv):
