@@ -50,7 +50,6 @@ from .tensor import (
     DEFAULT_EQ_TOL,
     StateVector,
     fidelity,
-    permute_qubits,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "is_proportional_to_unitary",
     "joint_state",
     "pair_determinant",
-    "permute_qubits",
     "random_channel",
     "random_instance",
     "random_pair",

@@ -26,12 +26,14 @@ from .decomposition import (
     NotInvertibleError,
     PairingConvention,
     _valid_tol,
+    decomposition_matrix,
     inverse_sub_matrix,
     pair_blocks,
     validate_outcome,
 )
 from .oracle import _cross_check, _measurement_state, _reconstruction_diff
 from .protocol import (
+    ENUMERATION_CAP,
     TeleportationInstance,
     _valid_seed,
     channel_criterion,
@@ -202,6 +204,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     channel = load_channel(Path(args.channel))
     convention = PairingConvention(args.convention)
     n = len(channel.pairs)
+    if n > ENUMERATION_CAP:
+        raise CliInputError(
+            f"refusing to print {1 << n}x{1 << n} matrices for {n} pairs "
+            f"(cap is {ENUMERATION_CAP} pairs)"
+        )
     outcome = validate_outcome(parse_outcome(args.outcome), n)
     print(f"channel: {n} pair(s), convention {convention.value}, outcome {''.join(map(str, outcome))}")
     crit_lines, _ = _criterion_lines(channel, args.tol_inv)
@@ -215,7 +222,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         print(_fmt_matrix(block))
     print()
     print(f"decomposition matrix ({1 << n}x{1 << n}, tensor product of the blocks above):")
-    print(_fmt_matrix(reduce(np.kron, blocks)))
+    print(_fmt_matrix(decomposition_matrix(channel, outcome, convention)))
     print()
     try:
         inverses = [

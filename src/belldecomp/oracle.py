@@ -8,11 +8,12 @@ generic tensor utilities, so agreement between the two routes is
 meaningful.  Only ``_cross_check``, the comparison behind ``cross_check``, and
 the reconstruction check read the block predictions, to compare them.
 
-``joint_state`` and ``rearrange_for_measurement`` build the state as
-``np.kron`` products and permute it; ``_measurement_state`` multiplies the
-same products, in the same order, straight into measurement order, and is
-what ``cross_check`` and CLI ``verify`` hold: 16 * 8^N bytes, 268 MB at
-N = 8.
+``joint_state`` builds the state as ``np.kron`` products, and
+``rearrange_for_measurement`` reorders its qubits with one transpose and one
+copy: the independent reference that ``_measurement_state`` is held to.
+``_measurement_state`` multiplies the same products, in the same order,
+straight into measurement order, and is what ``cross_check`` and CLI
+``verify`` hold: 16 * 8^N bytes, 268 MB at N = 8.
 
 A projection contracts each measured pair's axis against a stack of
 conjugated Bell bras, one pair at a time.  ``bell_project`` keeps one bra per
@@ -35,7 +36,7 @@ import numpy as np
 from .channel import bell_state
 from .decomposition import PairingConvention, _valid_tol, validate_outcome
 from .protocol import OutcomeTable, TeleportationInstance, _outcome_chunks
-from .tensor import DEFAULT_EQ_TOL, StateVector, permute_qubits
+from .tensor import DEFAULT_EQ_TOL, StateVector
 
 __all__ = [
     "ORACLE_CAP",
@@ -92,37 +93,25 @@ def joint_state(inst: TeleportationInstance) -> StateVector:
     return StateVector(3 * n, amps)
 
 
-def _measurement_order(inst: TeleportationInstance) -> tuple[int, ...]:
-    """Interleave (input_i, sender's half of pair i), receiver halves last.
-
-    In the joint state, pair i occupies positions N+2i-1 and N+2i.  The
-    receiver keeps the first of the two under BOB_HOLDS_FIRST and the second
-    under BOB_HOLDS_SECOND; the sender measures against the other half.
-    """
-    n = inst.num_qubits
-    order = []
-    receiver = []
-    for i in range(1, n + 1):
-        first, second = n + 2 * i - 1, n + 2 * i
-        if inst.convention is PairingConvention.BOB_HOLDS_FIRST:
-            sender_half, receiver_half = second, first
-        else:
-            sender_half, receiver_half = first, second
-        order += [i, sender_half]
-        receiver.append(receiver_half)
-    return tuple(order + receiver)
-
-
 def rearrange_for_measurement(js: StateVector, inst: TeleportationInstance) -> StateVector:
-    """Permute the joint state into measurement order.
+    """Reorder the joint state's qubits into measurement order, in one copy.
 
-    Qubits 2i-1 and 2i of the result are the i-th measured pair; the last N
-    qubits are the receiver's register in pair order.
+    Qubits 2i-1 and 2i of the result are the i-th measured pair: input qubit
+    i and the sender's half of pair i.  The last N qubits are the receiver's
+    register in pair order.  In the joint state pair i holds qubits N+2i-1
+    and N+2i; the receiver keeps the first under BOB_HOLDS_FIRST and the
+    second under BOB_HOLDS_SECOND.
     """
     n = inst.num_qubits
     if js.num_qubits != 3 * n:
         raise ValueError(f"joint state has {js.num_qubits} qubit(s), expected {3 * n}")
-    return permute_qubits(js, _measurement_order(inst))
+    # Pair i's halves are axes n + 2i and n + 2i + 1 (0-based); ``bob`` is the receiver's.
+    bob = 0 if inst.convention is PairingConvention.BOB_HOLDS_FIRST else 1
+    axes = [a for i in range(n) for a in (i, n + 2 * i + 1 - bob)]
+    axes += [n + 2 * i + bob for i in range(n)]
+    return StateVector(
+        3 * n, np.ascontiguousarray(js.amps.reshape((2,) * (3 * n)).transpose(axes))
+    )
 
 
 def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
@@ -131,10 +120,11 @@ def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
     The axes are (a1, s1, ..., aN, sN, b1, ..., bN): input qubit i, the
     sender's half of pair i, then the receiver's halves.  Every amplitude is
     the input amplitude times pair 1's, times pair 2's and so on, multiplied
-    in ``np.kron``'s order, so the result is bit for bit the permuted
-    ``joint_state``.  Pair i's factor fills its s_i and b_i axes, one of its
-    four amplitudes at a time, so each product runs over long strides.  The
-    peak is the result and the step before it, a quarter of its size.
+    in ``np.kron``'s order, so the result is bit for bit the transposed
+    ``joint_state``, without building it.  Pair i's factor fills its s_i and
+    b_i axes, one of its four amplitudes at a time, so each product runs
+    over long strides.  The peak is the result and the step before it, a
+    quarter of its size.
     """
     n = inst.num_qubits
     _check_cap(n)
@@ -278,17 +268,20 @@ def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
     transposed ``_BELL_BRAS``.  Every amplitude depends on one receiver column of
     the table only, so the table is scaled and summed ``_RECONSTRUCTION_COLUMNS``
     columns at a time and compared with the same columns of the state: no
-    full-size array is held beyond the state and the table.
+    full-size array is held beyond the state and the table.  Every slice's
+    passes reuse the same two float buffers.
     """
     kets = _BELL_BRAS.T
     rows, cols = table.collapsed.shape
     n = cols.bit_length() - 1
     state = rearranged.reshape(rows, cols)
     scale = np.sqrt(table.probabilities)[:, None]
+    size = 2 * rows * min(cols, _RECONSTRUCTION_COLUMNS)  # floats in one slice
+    buffers = (np.empty(size), np.empty(size))
     diff = 0.0
     for c in range(0, cols, _RECONSTRUCTION_COLUMNS):
         part = slice(c, c + _RECONSTRUCTION_COLUMNS)
-        rebuilt = _project(table.collapsed[:, part] * scale, [kets] * n)
+        rebuilt = _project(table.collapsed[:, part] * scale, [kets] * n, buffers)
         rebuilt -= state[:, part]
         diff = max(diff, float(np.abs(rebuilt).max()))
     return diff

@@ -11,14 +11,12 @@ mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_EQ_TOL",
     "StateVector",
-    "permute_qubits",
     "fidelity",
 ]
 
@@ -63,24 +61,6 @@ class StateVector:
         if n == 0.0:
             raise ValueError("cannot normalize a zero state")
         return StateVector(self.num_qubits, self.amps / n)
-
-
-def permute_qubits(state: StateVector, permutation: Sequence[int]) -> StateVector:
-    """Reindex a state so output qubit k carries input qubit ``perm[k]``.
-
-    ``permutation`` is 1-based and must be a bijection on 1..num_qubits.
-    Pure reindexing: the multiset of amplitudes, and hence the norm, is
-    preserved exactly.
-    """
-    n = state.num_qubits
-    perm = tuple(int(p) for p in permutation)
-    if len(perm) != n:
-        raise ValueError(f"permutation length {len(perm)} does not match {n} qubit(s)")
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"permutation must be a bijection on 1..{n}, got {perm}")
-    axes = [p - 1 for p in perm]
-    amps = state.amps.reshape((2,) * n).transpose(axes).reshape(-1).copy()
-    return StateVector(n, amps)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

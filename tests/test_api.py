@@ -19,7 +19,7 @@ PUBLIC = {
     "bell_state", "channel_criterion", "collapsed_state",
     "cross_check", "decomposition_matrix", "enumerate_outcomes", "fidelity",
     "inverse_sub_matrix", "is_proportional_to_unitary", "joint_state", "pair_determinant",
-    "permute_qubits", "random_channel", "random_instance", "random_pair", "random_state",
+    "random_channel", "random_instance", "random_pair", "random_state",
     "rearrange_for_measurement", "recover", "sample_outcome", "sub_matrix",
     "validate_outcome", "__version__",
 }

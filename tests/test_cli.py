@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belldecomp import cli
+from belldecomp import ENUMERATION_CAP, cli
 from belldecomp.channel import NORM_WARN_TOL
 from belldecomp.oracle import ORACLE_CAP
 
@@ -252,6 +252,15 @@ class TestDecompose:
         out = capsys.readouterr().out
         assert code == 0
         assert "outcome 234" in out
+
+    def test_above_the_enumeration_cap_is_a_usage_error(self, tmp_path, capsys):
+        """Refused before the 2^N x 2^N matrices, 4 MB each at 9 pairs, are printed."""
+        n = ENUMERATION_CAP + 1
+        channel = write_channel(tmp_path / "c.json", [MES] * n)
+        assert cli.main(["decompose", "--channel", channel, "--outcome", "1" * n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cap is {ENUMERATION_CAP} pairs" in captured.err
 
     def test_non_invertible_pair_is_reported_not_fatal(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "c.json", [PRODUCT])

@@ -1,6 +1,7 @@
 """Tests for the brute-force joint-state oracle and the cross check."""
 
 import itertools
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -95,7 +96,7 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 class TestMeasurementState:
     @pytest.mark.parametrize("conv", [BHF, BHS])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_is_the_rearranged_joint_state_bit_for_bit(self, n, conv):
         rng = np.random.default_rng(90 + n)
         for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
@@ -128,6 +129,19 @@ class TestRearrangeForMeasurement:
         expected = js.amps.reshape((2,) * 6).transpose(0, 2, 1, 4, 3, 5).reshape(-1)
         assert np.array_equal(rs.amps, expected)
         assert rs.squared_norm() == pytest.approx(js.squared_norm(), rel=1e-14)
+
+    def test_makes_one_contiguous_copy(self):
+        inst = random_instance(5, np.random.default_rng(76), BHF)
+        js = joint_state(inst)
+        tracemalloc.start()
+        try:
+            rs = rearrange_for_measurement(js, inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rs.amps.flags.c_contiguous
+        assert not np.shares_memory(rs.amps, js.amps)
+        assert rs.amps.nbytes <= peak < 1.5 * rs.amps.nbytes
 
     def test_qubit_count_checked(self):
         inst = random_instance(2, np.random.default_rng(75), BHS)
@@ -266,7 +280,7 @@ def with_phased_input(inst: TeleportationInstance) -> TeleportationInstance:
 
 
 def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
-    """Max |diff| and the first outcome reaching it, from the permuted ``np.kron``
+    """Max |diff| and the first outcome reaching it, from the transposed ``np.kron``
     joint state projected by ``complex_project`` against the whole predicted table."""
     n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
@@ -442,3 +456,25 @@ class TestCrossCheck:
             table.invertible,
         )
         assert _reconstruction_diff(_measurement_state(inst), swapped) > 1e-3
+
+
+def whole_table_reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
+    """``_reconstruction_diff`` from one ``_project`` over the whole scaled table."""
+    n = table.collapsed.shape[1].bit_length() - 1
+    scaled = table.collapsed * np.sqrt(table.probabilities)[:, None]
+    rebuilt = _project(scaled, [_BELL_BRAS.T] * n)
+    return float(np.abs(rebuilt - rearranged.reshape(rebuilt.shape)).max())
+
+
+class TestStreamedReconstruction:
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_equals_the_whole_table_reconstruction_bit_for_bit(self, n, conv):
+        """From N = 5 on the table is rebuilt in more than one slice of columns."""
+        inst = random_instance(n, np.random.default_rng(150 + n), conv)
+        for case in (inst, with_product_pair(inst), with_phased_input(inst)):
+            rs = _measurement_state(case)
+            table = enumerate_outcomes(case)
+            got = _reconstruction_diff(rs, table)
+            assert got.hex() == whole_table_reconstruction_diff(rs, table).hex()
+            assert got <= 1e-12

@@ -1,9 +1,9 @@
-"""Tests for state vectors, qubit permutations and fidelity."""
+"""Tests for state vectors and fidelity."""
 
 import numpy as np
 import pytest
 
-from belldecomp import StateVector, fidelity, permute_qubits
+from belldecomp import StateVector, fidelity
 
 
 class TestStateVector:
@@ -43,68 +43,6 @@ class TestStateVectorEquality:
         a = StateVector(1, np.array([0.6, 0.8]))
         assert a != StateVector(1, np.array([0.6, np.nextafter(0.8, 1.0)]))
         assert a != StateVector(2, np.array([0.6, 0.8, 0, 0]))
-
-
-class TestPermuteQubits:
-    def test_swap_two_qubits(self):
-        """|01> under swap(1,2) becomes |10>."""
-        s = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
-        out = permute_qubits(s, (2, 1))
-        assert np.array_equal(out.amps, np.array([0, 0, 1, 0], dtype=complex))
-
-    def test_three_qubit_rotation(self):
-        """Output qubit k carries input qubit perm[k]: |011> under (2,3,1) -> |110>."""
-        s = StateVector(3, np.eye(8)[0b011])
-        out = permute_qubits(s, (2, 3, 1))
-        assert np.array_equal(out.amps, np.eye(8)[0b110].astype(complex))
-
-    def test_amplitudes_preserved_as_multiset(self):
-        """Permutation only reindexes: same amplitudes bit for bit, norm to round-off."""
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            n = int(rng.integers(1, 6))
-            amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-            s = StateVector(n, amps)
-            out = permute_qubits(s, tuple(rng.permutation(n) + 1))
-            assert sorted(out.amps.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
-                s.amps.tolist(), key=lambda z: (z.real, z.imag)
-            )
-            assert out.squared_norm() == pytest.approx(s.squared_norm(), rel=1e-14)
-
-    def test_roundtrip_with_inverse(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            n = int(rng.integers(1, 7))
-            s = StateVector(n, rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n))
-            perm = tuple(rng.permutation(n) + 1)
-            inverse = tuple(np.argsort(perm) + 1)
-            back = permute_qubits(permute_qubits(s, perm), inverse)
-            assert np.array_equal(back.amps, s.amps)
-
-    def test_identity(self):
-        s = StateVector(3, np.arange(8) + 1j * np.arange(8)[::-1])
-        assert np.array_equal(permute_qubits(s, (1, 2, 3)).amps, s.amps)
-
-    def test_inverse(self):
-        """(2, 3, 1) is undone by its inverse (3, 1, 2): |011> -> |110> -> |011>."""
-        perm = (2, 3, 1)
-        inverse = tuple(np.argsort(perm) + 1)
-        assert inverse == (3, 1, 2)
-        s = StateVector(3, np.eye(8)[0b011].astype(complex))
-        out = permute_qubits(s, perm)
-        assert np.array_equal(out.amps, np.eye(8)[0b110].astype(complex))
-        assert np.array_equal(permute_qubits(out, inverse).amps, s.amps)
-
-    def test_length_mismatch_raises(self):
-        s = StateVector(2, np.array([1, 0, 0, 0], dtype=complex))
-        with pytest.raises(ValueError, match="does not match"):
-            permute_qubits(s, (1, 2, 3))
-
-    @pytest.mark.parametrize("perm", [(1, 1, 3), (0, 1, 2), (2, 3, 4)])
-    def test_must_be_bijection(self, perm):
-        s = StateVector(3, np.eye(8)[0])
-        with pytest.raises(ValueError, match="bijection"):
-            permute_qubits(s, perm)
 
 
 class TestFidelity:
