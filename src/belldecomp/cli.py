@@ -8,6 +8,7 @@ relative --output paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import json
@@ -181,22 +182,22 @@ def _fmt_amps(state: StateVector) -> str:
     return "\n".join(lines)
 
 
-def _criterion_lines(channel: Channel, tol_inv: float) -> tuple[list[str], bool]:
+def _print_criterion(channel: Channel, tol_inv: float) -> bool:
+    """Print each pair's diagnostics and the verdict; return whether every pair is invertible."""
     report = channel_criterion(channel, tol=tol_inv)
-    lines = []
     for d in report.pairs:
         unit = "yes" if d.unitary_proportional else "no"
         inv = "yes" if d.invertible else "no"
-        lines.append(
+        print(
             f"pair {d.index}: |det|={abs(d.determinant):.6e} concurrence={d.concurrence:.6e} "
             f"invertible={inv} unitary-proportional={unit}"
         )
     if report.success:
-        lines.append("criterion: success (every pair is invertible)")
+        print("criterion: success (every pair is invertible)")
     else:
         failed = ", ".join(map(str, report.failed_pairs))
-        lines.append(f"criterion: FAILURE (pair(s) {failed} not invertible)")
-    return lines, report.success
+        print(f"criterion: FAILURE (pair(s) {failed} not invertible)")
+    return report.success
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
@@ -211,9 +212,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         )
     outcome = validate_outcome(parse_outcome(args.outcome), n)
     print(f"channel: {n} pair(s), convention {convention.value}, outcome {''.join(map(str, outcome))}")
-    crit_lines, _ = _criterion_lines(channel, args.tol_inv)
-    for line in crit_lines:
-        print(line)
+    _print_criterion(channel, args.tol_inv)
     print()
     stacks = [pair_blocks(p, convention) for p in channel.pairs]
     blocks = [s[a - 1] for s, a in zip(stacks, outcome)]
@@ -244,19 +243,17 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_teleport(args: argparse.Namespace) -> int:
-    # sample_outcome checks the seed too, but only after the criterion is printed.
+    # sample_outcome checks the seed too, but only after the files are read.
     _valid_seed(args.seed)
     _valid_tol(args.tol_inv, "--tol-inv")
     state = load_state(Path(args.state))
     channel = load_channel(Path(args.channel))
     inst = TeleportationInstance(state, channel, PairingConvention(args.convention))
-    crit_lines, ok = _criterion_lines(channel, args.tol_inv)
-    for line in crit_lines:
-        print(line)
-    if not ok:
+    # Drawn before anything is printed: above ENUMERATION_CAP it refuses.
+    outcome = sample_outcome(inst, args.seed)
+    if not _print_criterion(channel, args.tol_inv):
         print("teleportation cannot be completed through this channel")
         return EXIT_CRITERION_FAILED
-    outcome = sample_outcome(inst, args.seed)
     collapsed = collapsed_state(inst, outcome)
     probability = collapsed.squared_norm()
     print()
@@ -274,64 +271,55 @@ def cmd_teleport(args: argparse.Namespace) -> int:
 def _verify_instance(
     label: str, inst: TeleportationInstance, tol_eq: float, tol_inv: float
 ) -> tuple[list[str], bool]:
-    lines = []
-    ok = True
+    checks = []
+
+    def check(name: str, passed: bool, detail: str) -> bool:
+        checks.append((name, "PASS" if passed else "FAIL", detail))
+        return passed
 
     # One joint state in measurement order serves the oracle and the
     # reconstruction check.
     rearranged = _measurement_state(inst)
     report = _cross_check(inst, rearranged, tol_eq)
-    status = "PASS" if report.passed else "FAIL"
-    ok &= report.passed
-    lines.append(
-        f"check oracle-equivalence{label}: {status} "
-        f"(max|diff| = {report.max_abs_diff:.3e}, tol {tol_eq:.3e}, "
-        f"{report.num_outcomes} outcome(s))"
+    ok = check(
+        "oracle-equivalence",
+        report.passed,
+        f"max|diff| = {report.max_abs_diff:.3e}, tol {tol_eq:.3e}, "
+        f"{report.num_outcomes} outcome(s)",
     )
 
     table = enumerate_outcomes(inst, tol=tol_inv)
     # Python's left-to-right sum: numpy's pairwise one changes the last digits
     # of the printed residual, which tests/data/verify_*.txt pin.
-    total = sum(table.probabilities.tolist())
-    passed = abs(total - 1.0) <= tol_eq
-    ok &= passed
-    lines.append(
-        f"check completeness{label}: {'PASS' if passed else 'FAIL'} "
-        f"(|sum(p) - 1| = {abs(total - 1.0):.3e}, tol {tol_eq:.3e})"
+    residual = abs(sum(table.probabilities.tolist()) - 1.0)
+    ok &= check(
+        "completeness", residual <= tol_eq, f"|sum(p) - 1| = {residual:.3e}, tol {tol_eq:.3e}"
     )
 
     diff = _reconstruction_diff(rearranged, table)
-    passed = diff <= tol_eq
-    ok &= passed
-    lines.append(
-        f"check reconstruction{label}: {'PASS' if passed else 'FAIL'} "
-        f"(max|diff| = {diff:.3e}, tol {tol_eq:.3e})"
-    )
+    ok &= check("reconstruction", diff <= tol_eq, f"max|diff| = {diff:.3e}, tol {tol_eq:.3e}")
 
-    crit = channel_criterion(inst.channel, tol=tol_inv)
-    if crit.success:
+    if table.invertible:
         fids = table.fidelities[table.probabilities > 0.0]
         worst = float(np.nanmin(fids)) if fids.size else 0.0
-        passed = bool(fids.size) and worst >= 1.0 - tol_eq
-        ok &= passed
-        lines.append(
-            f"check recovery-fidelity{label}: {'PASS' if passed else 'FAIL'} "
-            f"(min fidelity = {worst:.15f}, tol {tol_eq:.3e})"
+        ok &= check(
+            "recovery-fidelity",
+            bool(fids.size) and worst >= 1.0 - tol_eq,
+            f"min fidelity = {worst:.15f}, tol {tol_eq:.3e}",
         )
     else:
-        failed = ", ".join(map(str, crit.failed_pairs))
-        lines.append(
-            f"check recovery-fidelity{label}: SKIP (pair(s) {failed} not invertible)"
-        )
-    return lines, ok
+        failed = ", ".join(map(str, channel_criterion(inst.channel, tol=tol_inv).failed_pairs))
+        checks.append(("recovery-fidelity", "SKIP", f"pair(s) {failed} not invertible"))
+    return [f"check {name}{label}: {verdict} ({detail})" for name, verdict, detail in checks], ok
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _valid_seed(args.seed)
     _valid_tol(args.tol_inv, "--tol-inv")
     _valid_tol(args.tol_eq, "--tol-eq")
-    if args.random_instances < 0:
-        raise CliInputError(f"--random-instances must be >= 0, got {args.random_instances}")
+    m = args.random_instances
+    if m < 0:
+        raise CliInputError(f"--random-instances must be >= 0, got {m}")
     state_path = Path(args.state) if args.state else DEFAULT_STATE_FIXTURE
     channel_path = Path(args.channel) if args.channel else DEFAULT_CHANNEL_FIXTURE
     state = load_state(state_path)
@@ -343,19 +331,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"state: {state_path}",
         f"channel: {channel_path}",
     ]
-    inst_lines, ok = _verify_instance("", inst, args.tol_eq, args.tol_inv)
-    lines += inst_lines
-    for k in range(args.random_instances):
-        rng = np.random.default_rng(args.seed + k)
-        rand_inst = random_instance(inst.num_qubits, rng, convention)
-        rand_lines, rand_ok = _verify_instance(
-            f" [random {k + 1}/{args.random_instances}, seed {args.seed + k}]",
-            rand_inst,
-            args.tol_eq,
-            args.tol_inv,
-        )
-        lines += rand_lines
-        ok &= rand_ok
+    # The given instance, then M random ones of its size, each drawn on its turn.
+    runs = [("", None)] + [
+        (f" [random {k + 1}/{m}, seed {args.seed + k}]", args.seed + k) for k in range(m)
+    ]
+    ok = True
+    for label, seed in runs:
+        if seed is not None:
+            inst = random_instance(inst.num_qubits, np.random.default_rng(seed), convention)
+        inst_lines, inst_ok = _verify_instance(label, inst, args.tol_eq, args.tol_inv)
+        lines += inst_lines
+        ok &= inst_ok
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
@@ -394,16 +380,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 (f"{theta:.17g}", label, f"{p:.17g}", f"{abs_det_min:.17g}", f"{min_sv:.17g}")
             )
     out_path = _resolve_output(args.output)
-    header = ("theta", "outcome", "probability", "abs_det_min", "min_singular_value")
-    if out_path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
+    with (out_path.open("w", newline="") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("theta", "outcome", "probability", "abs_det_min", "min_singular_value"))
         writer.writerows(rows)
-    else:
-        with out_path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
     return EXIT_OK
 
 

@@ -25,9 +25,8 @@ from .decomposition import (
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
-    _SIGMA_INV,
-    _inverse_coefficient_matrix,
     _invertible,
+    inverse_pair_blocks,
     is_proportional_to_unitary,
     pair_blocks,
     validate_outcome,
@@ -107,22 +106,16 @@ class TeleportationInstance:
         return tuple(map(pair_determinant, self.channel.pairs))
 
     @cached_property
-    def _inverse_matrices(self) -> np.ndarray:
-        """Every pair's M^-1, stacked as (N, 2, 2).
+    def _inverse_blocks(self) -> np.ndarray:
+        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, stacked as (N, 4, 2, 2).
 
-        Callers first check every determinant with ``_invertible`` at their
-        tolerance >= 0, so none is 0 and the check at 0 here never fails.
+        Entry [:, 0] is every pair's M^-1, since sigma_1 = I.  Callers first
+        check every determinant with ``_invertible`` at their tolerance >= 0,
+        so none is 0 and the check at 0 here never fails.
         """
         return _read_only(
-            np.stack(
-                [_inverse_coefficient_matrix(p, self.convention, 0.0) for p in self.channel.pairs]
-            )
+            np.stack([inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs])
         )
-
-    @cached_property
-    def _inverse_blocks(self) -> np.ndarray:
-        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, stacked as (N, 4, 2, 2)."""
-        return _read_only(np.stack([_SIGMA_INV @ m for m in self._inverse_matrices]))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -438,7 +431,7 @@ def _recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> 
     invertible.
     """
     n = inst.num_qubits
-    w_t = reduce(np.kron, inst._inverse_matrices).T
+    w_t = reduce(np.kron, inst._inverse_blocks[:, 0]).T
     x2 = inst.input_state.squared_norm()
     fid = np.empty(4**n)
     z = np.empty((_chunk_rows(n), 1 << n), dtype=np.complex128)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from belldecomp import ENUMERATION_CAP, cli
-from belldecomp.channel import NORM_WARN_TOL
+from belldecomp.channel import NORM_WARN_TOL, pair_determinant
 from belldecomp.oracle import ORACLE_CAP
 
 # Golden CLI outputs and the inputs of the sweep that made them.
@@ -286,6 +286,16 @@ class TestTeleport:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_above_the_enumeration_cap_is_a_usage_error(self, tmp_path, capsys):
+        """Refused before the criterion lines are printed, as decompose does."""
+        n = ENUMERATION_CAP + 1
+        state = write_state(tmp_path / "s.json", n, [1 + 0j] + [0j] * ((1 << n) - 1))
+        channel = write_channel(tmp_path / "c.json", [MES] * n)
+        assert cli.main(["teleport", "--state", state, "--channel", channel]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"refusing to sample {n}-qubit outcomes" in captured.err
+
     def test_product_pair_fails_criterion(self, tmp_path, capsys):
         state = write_state(tmp_path / "s.json", 1, [0.6 + 0j, 0.8j])
         channel = write_channel(tmp_path / "c.json", [PRODUCT])
@@ -317,6 +327,29 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "check recovery-fidelity: SKIP" in out
+
+    @pytest.mark.parametrize(
+        "pairs, tol_at_det, skipped",
+        [([PRODUCT], False, "1"), ([MES, PRODUCT, PRODUCT], False, "2, 3"), ([DIAG], True, "1")],
+        ids=["product", "two-products", "tol-inv-at-det"],
+    )
+    def test_skip_line_names_the_non_invertible_pairs(
+        self, tmp_path, capsys, pairs, tol_at_det, skipped
+    ):
+        n = len(pairs)
+        state = write_state(tmp_path / "s.json", n, [complex(2 ** (-n / 2))] * (1 << n))
+        channel = write_channel(tmp_path / "c.json", pairs)
+        args = ["verify", "--state", state, "--channel", channel]
+        if tol_at_det:
+            # Invertible means |det| > tol: at equality the outcome table and
+            # channel_criterion must both fail the pair.
+            det = abs(pair_determinant(cli.load_channel(Path(channel)).pairs[0]))
+            args += ["--tol-inv", repr(det)]
+        code = cli.main(args)
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert f"check recovery-fidelity: SKIP (pair(s) {skipped} not invertible)" in lines
+        assert lines[-1] == "result: PASS"
 
     def test_above_the_oracle_cap_is_a_usage_error(self, tmp_path, capsys):
         """Refused before the 2^(3N)-amplitude joint state, 2 GB at N = 9, is allocated."""

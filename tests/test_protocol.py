@@ -34,7 +34,12 @@ from belldecomp import (
     sub_matrix,
 )
 from belldecomp.channel import NORM_WARN_TOL, pair_determinant
-from belldecomp.decomposition import SIGMA, inverse_pair_blocks, pair_blocks
+from belldecomp.decomposition import (
+    SIGMA,
+    _inverse_coefficient_matrix,
+    inverse_pair_blocks,
+    pair_blocks,
+)
 from belldecomp.protocol import (
     _chunk_frames,
     _inverse_cdf_step,
@@ -780,8 +785,11 @@ class TestInstanceCaches:
         for i, p in enumerate(inst.channel.pairs):
             assert inst._blocks[i].tobytes() == pair_blocks(p, conv).tobytes()
             assert inst._inverse_blocks[i].tobytes() == inverse_pair_blocks(p, conv).tobytes()
+            # sigma_1 = I, so the first inverse block is M^-1 itself.
+            m_inv = _inverse_coefficient_matrix(p, conv, 0.0)
+            assert inst._inverse_blocks[i, 0].tobytes() == m_inv.tobytes()
             assert inst._determinants[i] == pair_determinant(p)
-        for stack in (inst._blocks, inst._inverse_matrices, inst._inverse_blocks):
+        for stack in (inst._blocks, inst._inverse_blocks, inst._inverse_blocks[:, 0]):
             assert not stack.flags.writeable
         assert inst._blocks is inst._blocks
 
