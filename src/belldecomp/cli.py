@@ -1,8 +1,8 @@
 """Command line front end: decompose, teleport, verify, sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 channel criterion failure.  Set BELLDECOMP_OUTPUT_DIR to redirect
-relative --output paths.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error or a
+request too large for memory, 3 channel criterion failure.  Set
+BELLDECOMP_OUTPUT_DIR to redirect relative --output paths.
 """
 
 from __future__ import annotations
@@ -360,30 +360,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliInputError(f"--pair must be in 1..{n}, got {args.pair}")
     if args.theta_steps < 1:
         raise CliInputError(f"--theta-steps must be >= 1, got {args.theta_steps}")
-    thetas = np.linspace(args.theta_start, args.theta_stop, args.theta_steps)
+    # Checked before np.linspace, which warns on an infinite span.
+    if not math.isfinite(args.theta_stop - args.theta_start):
+        raise CliInputError(f"theta range {args.theta_start} to {args.theta_stop} is not finite")
     labels = ["".join(out) for out in itertools.product("1234", repeat=n)]
-    rows = []
-    for theta in thetas:
+
+    def rows(theta: float):
+        """One grid point's probabilities, computed now; its CSV rows, formatted as read."""
         varied = EntangledPair(np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)]))
         pairs = list(channel.pairs)
         pairs[args.pair - 1] = varied
-        swept = Channel(tuple(pairs))
-        inst = TeleportationInstance(state, swept, convention)
-        abs_det_min = min(abs(pair_determinant(p)) for p in swept.pairs)
-        min_sv = min(
-            float(np.linalg.svd(p.amplitude_matrix(), compute_uv=False)[-1])
-            for p in swept.pairs
-        )
+        inst = TeleportationInstance(state, Channel(tuple(pairs)), convention)
+        abs_det_min = min(abs(pair_determinant(p)) for p in pairs)
+        min_sv = min(np.linalg.svd(p.amplitude_matrix(), compute_uv=False)[-1] for p in pairs)
         probs = enumerate_outcomes(inst, compute_recovery=False).probabilities.tolist()
-        for label, p in zip(labels, probs):
-            rows.append(
-                (f"{theta:.17g}", label, f"{p:.17g}", f"{abs_det_min:.17g}", f"{min_sv:.17g}")
-            )
+        t, d, sv = f"{theta:.17g}", f"{abs_det_min:.17g}", f"{min_sv:.17g}"
+        return ((t, label, f"{p:.17g}", d, sv) for label, p in zip(labels, probs))
+
+    points = map(rows, np.linspace(args.theta_start, args.theta_stop, args.theta_steps))
+    # The first point is computed before the output is opened: input that
+    # enumerate_outcomes or TeleportationInstance refuses writes nothing.
+    first = next(points)
     out_path = _resolve_output(args.output)
     with (out_path.open("w", newline="") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("theta", "outcome", "probability", "abs_det_min", "min_singular_value"))
-        writer.writerows(rows)
+        for point in itertools.chain([first], points):
+            writer.writerows(point)
     return EXIT_OK
 
 
@@ -496,8 +499,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotInvertibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRITERION_FAILED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it could not make; Python's is empty.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

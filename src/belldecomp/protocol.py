@@ -83,6 +83,8 @@ class TeleportationInstance:
     convention: PairingConvention
 
     def __post_init__(self) -> None:
+        if not isinstance(self.convention, PairingConvention):
+            raise ValueError(f"convention must be a PairingConvention, got {self.convention!r}")
         if self.input_state.num_qubits != len(self.channel.pairs):
             raise ValueError(
                 f"input has {self.input_state.num_qubits} qubit(s) but channel has "

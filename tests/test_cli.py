@@ -427,6 +427,51 @@ class TestSweep:
         # theta = 0 makes pair 2 a product pair: min |det| over pairs is 0
         assert float(lines[1].split(",")[3]) == 0.0
 
+    def test_memory_holds_one_grid_point(self, tmp_path):
+        """Each grid point is written as it is computed: 40 points of 4^5 rows
+        once took 15.8 MB, and one point's outcome table is 0.5 MB."""
+        n = 5
+        state = write_state(tmp_path / "s.json", n, [2 ** (-n / 2) + 0j] * (1 << n))
+        channel = write_channel(tmp_path / "c.json", [DIAG] * n)
+        out = tmp_path / "grid.csv"
+        argv = ["sweep", "--state", state, "--channel", channel, "--theta-steps", "40",
+                "--output", str(out)]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        assert len(out.read_text().splitlines()) == 1 + 40 * 4**n
+
+    @pytest.mark.parametrize(
+        "state_qubits, pairs, extra",
+        [
+            (ENUMERATION_CAP + 1, ENUMERATION_CAP + 1, []),
+            (3, ENUMERATION_CAP + 1, []),
+            (1, 1, ["--theta-stop", "inf"]),
+            # 711 PiB of thetas, more than any 64-bit address space: every
+            # allocator refuses it at once, and that is exit 2, not a traceback.
+            (3, 3, ["--theta-steps", str(10**17)]),
+        ],
+        ids=["above-the-cap", "size-mismatch", "infinite-theta", "too-large-for-memory"],
+    )
+    def test_refusal_writes_nothing(self, tmp_path, capsys, state_qubits, pairs, extra):
+        """Refused input exits 2 with one error line, before stdout or --output is written."""
+        amps = [2 ** (-state_qubits / 2) + 0j] * (1 << state_qubits)
+        state = write_state(tmp_path / "s.json", state_qubits, amps)
+        channel = write_channel(tmp_path / "c.json", [DIAG] * pairs)
+        out = tmp_path / "grid.csv"
+        for output in ([], ["--output", str(out)]):
+            argv = ["sweep", "--state", state, "--channel", channel, *extra, *output]
+            assert cli.main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestGoldenOutput:
     """stdout byte for byte against outputs captured from the CLI: ``verify`` and

@@ -78,6 +78,13 @@ class TestTeleportationInstance:
         with pytest.raises(ValueError):
             TeleportationInstance(state, Channel((mes_pair(),)), BHS)
 
+    @pytest.mark.parametrize("convention", ["bob-holds-first", 3])
+    def test_convention_must_be_a_member(self, convention):
+        """Accepted, the string ordered the oracle's state as bob-holds-second."""
+        state = StateVector(1, np.array([1, 0], dtype=complex))
+        with pytest.raises(ValueError, match="convention must be a PairingConvention"):
+            TeleportationInstance(state, Channel((mes_pair(),)), convention)
+
     def test_unnormalized_pair_rejected(self):
         """Accepted, the pair (2, 0, 0, 2) made the probabilities sum to 8."""
         ch = Channel((mes_pair(), EntangledPair(np.array([2, 0, 0, 2], dtype=complex))))
