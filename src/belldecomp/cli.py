@@ -17,7 +17,7 @@ import os
 import sys
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,87 +60,86 @@ DEFAULT_STATE_FIXTURE = _FIXTURES / "state3.json"
 DEFAULT_CHANNEL_FIXTURE = _FIXTURES / "channel3_mes.json"
 
 
+_T = TypeVar("_T")
+
+
 class CliInputError(Exception):
     """Bad file contents or inconsistent inputs; maps to exit code 2."""
 
 
 def _complex_from_json(value, what: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    # json loads numbers as int or float; the exact type test turns away bools.
+    if not (isinstance(value, list) and len(value) == 2 and {*map(type, value)} <= {int, float}):
         raise CliInputError(f"{what}: expected [re, im], got {value!r}")
-    return complex(value[0], value[1])
+    return complex(*value)
 
 
-def _read_json(path: Path, what: str):
+def _read_json(path: Path, what: str, *keys: str) -> dict:
+    """The JSON object in ``path``, which must hold every one of ``keys``."""
     try:
-        return json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliInputError(f"cannot read {what} file {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not all(k in doc for k in keys):
+        raise CliInputError(f"{path}: expected an object with {' and '.join(keys)}")
+    return doc
 
 
-def _renormalized(amps: np.ndarray, what: str, warning: Callable[[float], str]) -> np.ndarray:
-    """``amps`` divided by their norm; ``warning(norm)`` goes to stderr when it was off 1."""
-    norm = float(np.linalg.norm(amps))
-    if norm == 0.0:
-        raise CliInputError(f"{what} must not be the zero vector")
-    if abs(norm - 1.0) > NORM_WARN_TOL:
-        print(warning(norm), file=sys.stderr)
-    return amps / norm
+def _load_unit(raw, what: str, build: Callable[[np.ndarray], _T]) -> tuple[_T, float]:
+    """``build`` of the [re, im] list ``raw`` divided by its norm, and that norm.
+
+    ``build`` is the library constructor, which makes every check of the
+    values; its ValueError is reported after ``what``.  When the plain norm
+    under- or overflows, the values are scaled by their largest real or
+    imaginary part first, so every finite nonzero vector is normalized and
+    the norm reported is the true one.
+    """
+    if not isinstance(raw, list):
+        raise CliInputError(f"{what}: expected a list of [re, im], got {type(raw).__name__}")
+    values = np.array([_complex_from_json(v, what) for v in raw], dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    try:
+        if 0.0 < norm < math.inf:
+            return build(values / norm), norm
+        scale = float(np.abs(values.view(np.float64)).max(initial=0.0))
+        if not 0.0 < scale < math.inf:
+            build(values)  # the constructor's own refusal comes first
+            raise CliInputError(f"{what} must not be the zero vector")
+        # Divided as floats: numpy divides a complex by a subnormal through 1 / scale.
+        values = (values.view(np.float64) / scale).view(np.complex128)
+        norm = float(np.linalg.norm(values))
+        return build(values / norm), scale * norm
+    except ValueError as exc:
+        raise CliInputError(f"{what}: {exc}") from exc
 
 
 def load_state(path: Path) -> StateVector:
     """Read {"num_qubits": N, "amps": [[re, im], ...]} from a JSON file, normalizing it."""
-    doc = _read_json(path, "state")
-    if not isinstance(doc, dict) or "num_qubits" not in doc or "amps" not in doc:
-        raise CliInputError(f"{path}: expected an object with num_qubits and amps")
-    n = doc["num_qubits"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise CliInputError(f"{path}: num_qubits must be a positive integer, got {n!r}")
-    amps = doc["amps"]
-    if not isinstance(amps, list) or len(amps) != 1 << n:
-        raise CliInputError(
-            f"{path}: expected {1 << n} amplitudes for {n} qubit(s), "
-            f"got {len(amps) if isinstance(amps, list) else type(amps).__name__}"
-        )
-    values = [_complex_from_json(a, f"{path}: amps[{i}]") for i, a in enumerate(amps)]
-    try:
-        state = StateVector(n, np.array(values))
-    except ValueError as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
-    amps = _renormalized(
-        state.amps,
-        f"{path}: state",
-        lambda norm: f"warning: state in {path} renormalized (norm was {norm:.6g})",
+    doc = _read_json(path, "state", "num_qubits", "amps")
+    state, norm = _load_unit(
+        doc["amps"], f"{path}: state", lambda amps: StateVector(doc["num_qubits"], amps)
     )
-    return StateVector(n, amps)
+    if abs(norm - 1.0) > NORM_WARN_TOL:
+        print(f"warning: state in {path} renormalized (norm was {norm:.6g})", file=sys.stderr)
+    return state
 
 
 def load_channel(path: Path) -> Channel:
     """Read {"pairs": [[[re, im] x4], ...]} from a JSON file, normalizing pairs."""
-    doc = _read_json(path, "channel")
-    if not isinstance(doc, dict) or "pairs" not in doc or not isinstance(doc["pairs"], list):
-        raise CliInputError(f"{path}: expected an object with a pairs list")
-    if not doc["pairs"]:
-        raise CliInputError(f"{path}: channel needs at least one pair")
+    raw_pairs = _read_json(path, "channel", "pairs")["pairs"]
+    if not isinstance(raw_pairs, list):
+        raise CliInputError(f"{path}: pairs must be a list, got {type(raw_pairs).__name__}")
     pairs = []
-    for i, raw in enumerate(doc["pairs"], start=1):
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise CliInputError(f"{path}: pair {i} must have exactly 4 coefficients")
-        values = [_complex_from_json(v, f"{path}: pair {i}") for v in raw]
-        try:
-            pair = EntangledPair(np.array(values))
-        except ValueError as exc:
-            raise CliInputError(f"{path}: pair {i}: {exc}") from exc
-        y = _renormalized(
-            pair.y,
-            f"{path}: pair {i}",
-            lambda _: f"warning: channel pair {i} in {path} renormalized",
-        )
-        pairs.append(EntangledPair(y))
-    return Channel(tuple(pairs))
+    for i, raw in enumerate(raw_pairs, start=1):
+        pair, norm = _load_unit(raw, f"{path}: pair {i}", EntangledPair)
+        if abs(norm - 1.0) > NORM_WARN_TOL:
+            print(f"warning: channel pair {i} in {path} renormalized", file=sys.stderr)
+        pairs.append(pair)
+    try:
+        return Channel(tuple(pairs))
+    except ValueError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
 
 
 def parse_outcome(text: str) -> tuple[int, ...]:

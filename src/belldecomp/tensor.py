@@ -32,14 +32,15 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        n = self.num_qubits
+        # bool is an int subclass, so the exact type is tested; numpy integers pass too.
+        if (type(n) is not int and not isinstance(n, np.integer)) or n < 1:
+            raise ValueError(f"num_qubits must be a positive integer, got {n!r}")
         amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
-        expected = 1 << self.num_qubits
-        if amps.size != expected:
-            raise ValueError(
-                f"expected {expected} amplitudes for {self.num_qubits} qubit(s), got {amps.size}"
-            )
+        # No array holds 2**63 amplitudes, and 1 << n of a huge n would not fit in memory.
+        if n >= 63 or amps.size != 1 << n:
+            expected = 1 << n if n < 63 else f"2**{n}"
+            raise ValueError(f"expected {expected} amplitudes for {n} qubit(s), got {amps.size}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amps", amps)

@@ -70,6 +70,9 @@ class TestEntangledPair:
         with pytest.raises(ValueError):
             Channel(())
 
+    def test_channel_length_is_its_pair_count(self):
+        assert len(Channel((mes_pair(),) * 3)) == 3
+
 
 class TestPairEquality:
     def test_equal_coefficients_compare_equal(self):

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -121,6 +122,71 @@ class TestParsing:
         assert cli.main(["teleport", "--state", str(state), "--channel", channel]) == 2
         assert "num_qubits must be a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("state", "[1, 2]", "expected an object with num_qubits and amps"),
+            ("state", '{"num_qubits": 1, "amps": "ab"}', "state: expected a list of [re, im]"),
+            (
+                "state",
+                '{"num_qubits": 1, "amps": [[NaN, 0], [0, 0]]}',
+                "state: amplitudes must be finite",
+            ),
+            ("channel", '"pairs"', "expected an object with pairs"),
+            ("channel", "{}", "expected an object with pairs"),
+            ("channel", '{"pairs": {}}', "pairs must be a list, got dict"),
+            ("channel", '{"pairs": []}', "a channel needs at least one pair"),
+            ("channel", '{"pairs": [{}]}', "pair 1: expected a list of [re, im], got dict"),
+            (
+                "channel",
+                '{"pairs": [[[Infinity, 0], [0, 0], [0, 0], [1, 0]]]}',
+                "pair 1: pair coefficients must be finite",
+            ),
+        ],
+        ids=["state-not-object", "amps-not-list", "nan-amplitude", "channel-not-object",
+             "pairs-missing", "pairs-not-list", "pairs-empty", "pair-not-list",
+             "infinite-coefficient"],
+    )
+    def test_malformed_file_fails_before_any_output(self, kind, text, message, tmp_path, capsys):
+        """json loads NaN and Infinity; the library refuses them as it refuses every value."""
+        files = dict(state=str(cli.DEFAULT_STATE_FIXTURE), channel=str(cli.DEFAULT_CHANNEL_FIXTURE))
+        files[kind] = str(tmp_path / f"{kind}.json")
+        Path(files[kind]).write_text(text)
+        assert cli.main(["teleport", "--state", files["state"], "--channel", files["channel"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {files[kind]}: {message}")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    @pytest.mark.parametrize("command", ["decompose", "teleport"])
+    def test_extreme_magnitudes_print_what_their_unit_form_prints(
+        self, command, scale, tmp_path, capsys
+    ):
+        """At 1e308 the plain norm overflowed: numpy warned, the pair became zero and
+        decompose printed its header before exit 2.  At 1e-320 it underflowed to 0 and
+        the input was called the zero vector."""
+
+        def run(s, name):
+            state = write_state(tmp_path / f"s{name}.json", 1, [complex(s), complex(s)])
+            channel = write_channel(tmp_path / f"c{name}.json", [[complex(s), 0j, 0j, complex(s)]])
+            files = {
+                "decompose": ["--channel", channel, "--outcome", "3"],
+                "teleport": ["--state", state, "--channel", channel],
+            }
+            assert cli.main([command, *files[command]]) == 0
+            return capsys.readouterr()
+
+        unit = run(1.0, "unit")
+        scaled = run(scale, "scaled")
+        assert scaled.out == unit.out
+        warnings = [f"warning: channel pair 1 in {tmp_path / 'cscaled.json'} renormalized"]
+        if command == "teleport":
+            norm = f"{scale * math.sqrt(2):.6g}"
+            warnings.insert(0, f"warning: state in {tmp_path / 'sscaled.json'} renormalized "
+                               f"(norm was {norm})")
+        assert scaled.err.splitlines() == warnings
+
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
 
@@ -229,6 +295,26 @@ class TestLoadChannel:
         channel = cli.load_channel(Path(write_channel(path, [[1 + 0j, 0j, 0j, 1 + 0j]])))
         np.testing.assert_allclose(channel.pairs[0].y, MES, rtol=0, atol=1e-15)
         assert capsys.readouterr().err == f"warning: channel pair 1 in {path} renormalized\n"
+
+    @pytest.mark.parametrize("scale", [1e308, 1.7e308, 1e-320, 5e-324])
+    def test_extreme_pairs_load_at_unit_norm(self, scale, tmp_path, capsys):
+        """At 1.7e308 even the true norm, 3.4e308, is past the float range."""
+        path = tmp_path / "c.json"
+        channel = cli.load_channel(Path(write_channel(path, [[complex(scale)] * 4])))
+        assert np.array_equal(channel.pairs[0].y, np.full(4, 0.5))
+        assert capsys.readouterr().err == f"warning: channel pair 1 in {path} renormalized\n"
+
+    def test_normal_range_inputs_are_divided_by_their_plain_norm(self, tmp_path, capsys):
+        """Bit for bit what amps / np.linalg.norm(amps) gives, from 1e-150 to 1e150."""
+        rng = np.random.default_rng(25)
+        scales = 10.0 ** rng.uniform(-150, 150, size=64)
+        ys = [s * (rng.standard_normal(4) + 1j * rng.standard_normal(4)) for s in scales]
+        channel = cli.load_channel(Path(write_channel(tmp_path / "c.json", ys)))
+        for pair, y in zip(channel.pairs, ys):
+            assert pair.y.tobytes() == (y / np.linalg.norm(y)).tobytes()
+        amps = scales[0] * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        state = cli.load_state(Path(write_state(tmp_path / "s.json", 3, amps)))
+        assert state.amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
 
     def test_zero_pair_exits_2(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "c.json", [MES, [0j, 0j, 0j, 0j]])
@@ -451,11 +537,13 @@ class TestSweep:
             (ENUMERATION_CAP + 1, ENUMERATION_CAP + 1, []),
             (3, ENUMERATION_CAP + 1, []),
             (1, 1, ["--theta-stop", "inf"]),
+            (1, 1, ["--theta-steps", "0"]),
             # 711 PiB of thetas, more than any 64-bit address space: every
             # allocator refuses it at once, and that is exit 2, not a traceback.
             (3, 3, ["--theta-steps", str(10**17)]),
         ],
-        ids=["above-the-cap", "size-mismatch", "infinite-theta", "too-large-for-memory"],
+        ids=["above-the-cap", "size-mismatch", "infinite-theta", "no-grid-points",
+             "too-large-for-memory"],
     )
     def test_refusal_writes_nothing(self, tmp_path, capsys, state_qubits, pairs, extra):
         """Refused input exits 2 with one error line, before stdout or --output is written."""

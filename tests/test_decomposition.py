@@ -23,6 +23,7 @@ from belldecomp import (
     sub_matrix,
     validate_outcome,
 )
+from belldecomp.decomposition import pair_blocks
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -155,6 +156,13 @@ class TestSubMatrix:
             sub_matrix(mes_pair(), 0, BHF)
         with pytest.raises(ValueError):
             sub_matrix(mes_pair(), 5, BHS)
+
+    def test_convention_must_be_a_member(self):
+        """The value string names no member: it must not pass for either convention."""
+        with pytest.raises(ValueError, match="unknown convention 'bob-holds-first'"):
+            pair_blocks(mes_pair(), "bob-holds-first")
+        with pytest.raises(ValueError, match="unknown convention 'bob-holds-first'"):
+            decomposition_matrix(Channel((mes_pair(),)), (1,), "bob-holds-first")
 
 
 class TestDecompositionMatrix:

@@ -189,6 +189,11 @@ class TestRecover:
         assert err.value.pair_indices == (2,)
         assert "2" in str(err.value)
 
+    def test_collapsed_state_of_another_size_is_refused(self):
+        inst = random_instance(2, np.random.default_rng(60), BHS)
+        with pytest.raises(ValueError, match=r"collapsed state has 1 qubit\(s\), expected 2"):
+            recover(StateVector(1, np.array([1, 0])), inst, (1, 1))
+
     def test_fidelity_independent_of_collapsed_scale(self):
         inst = random_instance(1, np.random.default_rng(59), BHF)
         c = collapsed_state(inst, (2,))

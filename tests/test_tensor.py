@@ -19,6 +19,24 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(0, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "n, size",
+        [(True, 2), (np.True_, 2), (2.0, 4), ("2", 4), (-1, 1)],
+        ids=["bool", "numpy-bool", "float", "str", "negative"],
+    )
+    def test_qubit_count_must_be_a_positive_integer(self, n, size):
+        """Accepted, True built a one-qubit state; 2.0 and "2" raised TypeError."""
+        with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
+            StateVector(n, np.eye(size)[0])
+
+    def test_numpy_integer_qubit_count_is_accepted(self):
+        assert StateVector(np.int64(2), np.eye(4)[0]) == StateVector(2, np.eye(4)[0])
+
+    def test_qubit_count_too_large_for_any_array(self):
+        """1 << n of this n once raised OverflowError, not ValueError."""
+        with pytest.raises(ValueError, match=r"expected 2\*\*100000000000000000000 amplitudes"):
+            StateVector(10**20, np.eye(2)[0])
+
     def test_qubit_one_is_most_significant(self):
         """For 3 qubits, amps[1] is the coefficient of |001>."""
         s = StateVector(3, np.eye(8)[1])
@@ -43,6 +61,11 @@ class TestStateVectorEquality:
         a = StateVector(1, np.array([0.6, 0.8]))
         assert a != StateVector(1, np.array([0.6, np.nextafter(0.8, 1.0)]))
         assert a != StateVector(2, np.array([0.6, 0.8, 0, 0]))
+
+    def test_other_types_are_left_to_the_other_operand(self):
+        a = StateVector(1, np.array([0.6, 0.8]))
+        assert a.__eq__(3) is NotImplemented
+        assert a != 3
 
 
 class TestFidelity:
