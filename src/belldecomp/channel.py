@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import _integer
+
 __all__ = [
-    "NORM_WARN_TOL",
     "EntangledPair",
     "Channel",
     "bell_state",
@@ -84,9 +85,8 @@ class Channel:
 
 def bell_state(index: int) -> np.ndarray:
     """Unit-norm Bell state ``index`` (1..4) as a 4-amplitude vector."""
-    if index not in (1, 2, 3, 4):
-        raise ValueError(f"Bell state index must be in 1..4, got {index}")
-    return _BELL_ROWS[index - 1].astype(np.complex128) / np.sqrt(2.0)
+    r = _integer(index, "Bell state index must be in 1..4", 1, 4)
+    return _BELL_ROWS[r - 1].astype(np.complex128) / np.sqrt(2.0)
 
 
 def pair_determinant(pair: EntangledPair) -> complex:

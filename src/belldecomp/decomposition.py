@@ -23,7 +23,6 @@ these blocks; the protocol module applies it once.
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from functools import reduce
 from typing import Iterable, Sequence
@@ -31,19 +30,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import Channel, EntangledPair, pair_determinant
+from .tensor import _integer
 
 __all__ = [
     "DEFAULT_INVERTIBILITY_TOL",
-    "SIGMA",
     "PairingConvention",
     "NotInvertibleError",
-    "BellOutcome",
     "validate_outcome",
     "sub_matrix",
-    "pair_blocks",
     "decomposition_matrix",
     "inverse_sub_matrix",
-    "inverse_pair_blocks",
     "is_proportional_to_unitary",
 ]
 
@@ -87,16 +83,9 @@ class NotInvertibleError(ValueError):
         self.pair_indices = tuple(pair_indices)
 
 
-def _bell_result(a) -> int:
-    """``a`` as an int when it is an integer, numpy's included, and not a bool."""
-    if isinstance(a, (bool, np.bool_)) or not hasattr(type(a), "__index__"):
-        raise ValueError(f"Bell results must be integers, got {a!r}")
-    return operator.index(a)
-
-
 def validate_outcome(outcome: Sequence[int], num_pairs: int) -> BellOutcome:
     """The integer results as a tuple of ints, after checking length and 1..4 range."""
-    out = tuple(_bell_result(a) for a in outcome)
+    out = tuple(_integer(a, "Bell results must be integers") for a in outcome)
     if len(out) != num_pairs:
         raise ValueError(f"outcome length {len(out)} does not match {num_pairs} pair(s)")
     if any(a < 1 or a > 4 for a in out):

@@ -90,6 +90,7 @@ def joint_state(inst: TeleportationInstance) -> StateVector:
     amps = inst.input_state.amps
     for pair in inst.channel.pairs:
         amps = np.kron(amps, pair.y)
+    amps.flags.writeable = False
     return StateVector(3 * n, amps)
 
 
@@ -109,9 +110,9 @@ def rearrange_for_measurement(js: StateVector, inst: TeleportationInstance) -> S
     bob = 0 if inst.convention is PairingConvention.BOB_HOLDS_FIRST else 1
     axes = [a for i in range(n) for a in (i, n + 2 * i + 1 - bob)]
     axes += [n + 2 * i + bob for i in range(n)]
-    return StateVector(
-        3 * n, np.ascontiguousarray(js.amps.reshape((2,) * (3 * n)).transpose(axes))
-    )
+    amps = np.ascontiguousarray(js.amps.reshape((2,) * (3 * n)).transpose(axes))
+    amps.flags.writeable = False
+    return StateVector(3 * n, amps)
 
 
 def _measurement_state(inst: TeleportationInstance) -> np.ndarray:

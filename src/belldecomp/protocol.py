@@ -31,7 +31,7 @@ from .decomposition import (
     pair_blocks,
     validate_outcome,
 )
-from .tensor import StateVector, fidelity
+from .tensor import StateVector, _integer, fidelity
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -183,6 +183,7 @@ def _contract_outcome(stacks: np.ndarray, outcome: BellOutcome, t: np.ndarray) -
         out = np.empty((1 << (n - 1), 2), dtype=np.complex128)
         _apply_blocks(s[r - 1], t, out)
         t = out
+    t.flags.writeable = False
     return StateVector(n, t)
 
 
@@ -539,13 +540,7 @@ def enumerate_outcomes(
 
 def _valid_seed(seed) -> int:
     """``seed`` as an int when it is a non-negative integer, numpy's included, and not a bool."""
-    if (
-        isinstance(seed, (bool, np.bool_))
-        or not hasattr(type(seed), "__index__")
-        or operator.index(seed) < 0
-    ):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return operator.index(seed)
+    return _integer(seed, "seed must be a non-negative integer", 0)
 
 
 def _inverse_cdf_step(weights: list[float], u: float) -> tuple[int, float]:
@@ -599,7 +594,7 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
 
 def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
     """Haar-ish normalized state with independent complex normal amplitudes."""
-    dim = 1 << num_qubits
+    dim = 1 << _integer(num_qubits, "num_qubits must be a positive integer", 1)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(num_qubits, amps).normalized()
 
@@ -610,7 +605,8 @@ def random_pair(rng: np.random.Generator) -> EntangledPair:
 
 
 def random_channel(num_pairs: int, rng: np.random.Generator) -> Channel:
-    return Channel(tuple(random_pair(rng) for _ in range(num_pairs)))
+    n = _integer(num_pairs, "num_pairs must be a positive integer", 1)
+    return Channel(tuple(random_pair(rng) for _ in range(n)))
 
 
 def random_instance(

@@ -10,6 +10,8 @@ mutate their arguments.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,25 +26,51 @@ __all__ = [
 DEFAULT_EQ_TOL = 1e-10
 
 
+def _integer(x, what: str, low: float = -math.inf, high: float = math.inf) -> int:
+    """``x`` as an int when it is an integer in [low, high], numpy's included, and not a bool.
+
+    Anything with ``__index__`` counts as an integer.  Otherwise raises
+    ValueError("<what>, got <repr of x>").
+    """
+    # bool is an int subclass, so the exact type is tested first.
+    integer = type(x) is int or (
+        not isinstance(x, (bool, np.bool_)) and hasattr(type(x), "__index__")
+    )
+    if not integer or not low <= operator.index(x) <= high:
+        raise ValueError(f"{what}, got {x!r}")
+    return operator.index(x)
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of ``num_qubits`` qubits as a flat array of 2**num_qubits amplitudes."""
+    """Pure state of ``num_qubits`` qubits as a flat array of 2**num_qubits amplitudes.
+
+    ``amps`` is read-only.  A read-only complex128 array is kept as given and
+    anything else is copied, so no caller can write into the state through
+    the array it passed; code that wraps an array it has just built marks
+    it read-only first and saves the copy.
+    """
 
     num_qubits: int
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.num_qubits
-        # bool is an int subclass, so the exact type is tested; numpy integers pass too.
-        if (type(n) is not int and not isinstance(n, np.integer)) or n < 1:
-            raise ValueError(f"num_qubits must be a positive integer, got {n!r}")
-        amps = np.asarray(self.amps, dtype=np.complex128).reshape(-1)
+        n = _integer(self.num_qubits, "num_qubits must be a positive integer", 1)
+        amps = self.amps
+        if not isinstance(amps, np.ndarray) or amps.dtype != np.complex128 or amps.flags.writeable:
+            amps = np.array(amps, dtype=np.complex128)
+        amps = amps.reshape(-1)
+        # Writeable only when it is a copy, here or in reshape; setting the
+        # flag costs more than reading it.
+        if amps.flags.writeable:
+            amps.flags.writeable = False
         # No array holds 2**63 amplitudes, and 1 << n of a huge n would not fit in memory.
         if n >= 63 or amps.size != 1 << n:
             expected = 1 << n if n < 63 else f"2**{n}"
             raise ValueError(f"expected {expected} amplitudes for {n} qubit(s), got {amps.size}")
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amps", amps)
 
     def __eq__(self, other: object) -> bool:
@@ -61,7 +89,9 @@ class StateVector:
         n = self.norm()
         if n == 0.0:
             raise ValueError("cannot normalize a zero state")
-        return StateVector(self.num_qubits, self.amps / n)
+        amps = self.amps / n
+        amps.flags.writeable = False
+        return StateVector(self.num_qubits, amps)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -24,9 +24,16 @@ PUBLIC = {
     "validate_outcome", "__version__",
 }
 
-# Exported by a module but not by the package.
-MODULE_ONLY = {
-    "NORM_WARN_TOL", "main", "BellOutcome", "SIGMA", "inverse_pair_blocks", "pair_blocks",
+# Exported by a module but not by the package: the CLI's entry point.
+MODULE_ONLY = {"main"}
+
+# The library modules, in the order the package star-imports them.
+LIBRARY = ["channel", "decomposition", "oracle", "protocol", "tensor"]
+
+# Public in their modules, importable by module path, and no part of the package API.
+MODULE_PATH_ONLY = {
+    "channel": ["NORM_WARN_TOL"],
+    "decomposition": ["SIGMA", "BellOutcome", "pair_blocks", "inverse_pair_blocks"],
 }
 
 
@@ -36,6 +43,29 @@ def test_exports_resolve_and_are_exactly_the_public_api():
         assert len(mod.__all__) == len(set(mod.__all__)), mod.__name__
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == [], mod.__name__
         assert set(mod.__all__) <= PUBLIC | MODULE_ONLY, mod.__name__
+
+
+def test_the_package_api_is_the_library_modules_lists():
+    """Each public name is declared once, in its module's ``__all__``."""
+    expected = ["__version__"]
+    for m in LIBRARY:
+        expected += importlib.import_module(f"belldecomp.{m}").__all__
+    assert belldecomp.__all__ == expected
+
+
+def test_star_import_binds_exactly_the_package_api():
+    namespace = {}
+    exec("from belldecomp import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(belldecomp.__all__)
+    assert all(namespace[name] is getattr(belldecomp, name) for name in belldecomp.__all__)
+
+
+def test_module_path_names_stay_out_of_the_package():
+    for m, names in MODULE_PATH_ONLY.items():
+        mod = importlib.import_module(f"belldecomp.{m}")
+        for name in names:
+            assert hasattr(mod, name) and name not in mod.__all__, (m, name)
+            assert not hasattr(belldecomp, name), name
 
 
 def _defined_names(tree: ast.Module) -> set[str]:

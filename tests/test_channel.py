@@ -42,6 +42,15 @@ class TestBellState:
         with pytest.raises(ValueError):
             bell_state(5)
 
+    @pytest.mark.parametrize("index", [True, np.True_, 1.0, "1", 0, np.int64(5)])
+    def test_index_must_be_an_integer_in_range(self, index):
+        """Accepted, True returned the first Bell state; 1.0 raised numpy's IndexError."""
+        with pytest.raises(ValueError, match=r"^Bell state index must be in 1\.\.4, got "):
+            bell_state(index)
+
+    def test_numpy_integer_index_is_accepted(self):
+        assert np.array_equal(bell_state(np.int64(3)), bell_state(3))
+
 
 class TestEntangledPair:
     def test_needs_four_coefficients(self):

@@ -335,6 +335,8 @@ class TestFloatViewProjection:
         rs = rearrange_for_measurement(joint_state(inst), inst)
         padded = np.zeros(2 * len(rs.amps), dtype=complex)
         padded[::2] = rs.amps
+        # A read-only view is kept as given, so the state stays strided.
+        padded.flags.writeable = False
         strided = StateVector(rs.num_qubits, padded[::2])
         assert not strided.amps.flags.c_contiguous
         for out in outcomes(2):

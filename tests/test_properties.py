@@ -213,7 +213,7 @@ def sampling_instances(draw):
     pairs = []
     for basis in draw(st.lists(st.sampled_from([None, 0, 1, 2, 3]), min_size=n, max_size=n)):
         pairs.append(random_pair(rng) if basis is None else EntangledPair(np.eye(4)[basis]))
-    amps = random_state(n, rng).amps.reshape((2,) * n)
+    amps = random_state(n, rng).amps.reshape((2,) * n).copy()
     for q, bit in enumerate(draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n))):
         if bit is not None:
             np.moveaxis(amps, q, 0)[1 - bit] = 0.0

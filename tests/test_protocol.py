@@ -103,6 +103,22 @@ class TestTeleportationInstance:
         TeleportationInstance(state, Channel((pair,)), BHS)
 
 
+class TestRandomGenerators:
+    @pytest.mark.parametrize("n", [2.0, "2", True, 0])
+    def test_qubit_count_must_be_a_positive_integer(self, n):
+        """2.0 and "2" raised TypeError from the amplitude count ``1 << num_qubits``."""
+        rng = np.random.default_rng(0)
+        for call in (lambda: random_state(n, rng), lambda: random_instance(n, rng, BHS)):
+            with pytest.raises(ValueError, match="num_qubits must be a positive integer"):
+                call()
+
+    @pytest.mark.parametrize("n", [2.0, "2", True, 0])
+    def test_pair_count_must_be_a_positive_integer(self, n):
+        """2.0 and "2" raised TypeError from ``range``, and True drew one pair."""
+        with pytest.raises(ValueError, match="num_pairs must be a positive integer"):
+            random_channel(n, np.random.default_rng(0))
+
+
 class TestCollapsedState:
     def test_single_qubit_mes_first_result_halves_input(self):
         inst = mes_instance(1, seed=50)

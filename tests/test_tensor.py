@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from belldecomp import StateVector, fidelity
+from belldecomp import (
+    Channel,
+    EntangledPair,
+    PairingConvention,
+    StateVector,
+    TeleportationInstance,
+    fidelity,
+)
 
 
 class TestStateVector:
@@ -49,6 +56,34 @@ class TestStateVector:
     def test_normalize_zero_state_raises(self):
         with pytest.raises(ValueError):
             StateVector(1, np.zeros(2)).normalized()
+
+
+class TestAmplitudesAreReadOnly:
+    def test_writing_the_callers_array_changes_nothing(self):
+        """The caller's writeable array was kept, so writing into it changed the state
+        and every instance built on it."""
+        a = np.array([0.6, 0.8j])
+        s = StateVector(1, a)
+        pair = EntangledPair(np.array([1, 0, 0, 1]) / np.sqrt(2))
+        inst = TeleportationInstance(s, Channel((pair,)), PairingConvention.BOB_HOLDS_SECOND)
+        a[0] = 5
+        assert np.array_equal(s.amps, [0.6, 0.8j])
+        assert np.array_equal(inst.input_state.amps, [0.6, 0.8j])
+        assert not s.amps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.amps[0] = 5
+
+    def test_a_read_only_complex_array_is_kept_without_a_copy(self):
+        a = np.array([0.6, 0.8j])
+        a.flags.writeable = False
+        assert np.shares_memory(StateVector(1, a).amps, a)
+
+    def test_derived_states_are_read_only(self):
+        s = StateVector(1, [3.0, 4.0]).normalized()
+        assert not s.amps.flags.writeable
+
+    def test_the_qubit_count_is_kept_as_an_int(self):
+        assert type(StateVector(np.int64(2), np.eye(4)[0]).num_qubits) is int
 
 
 class TestStateVectorEquality:
