@@ -307,10 +307,21 @@ class OutcomeRecord:
 
 
 # The table passes work on chunks of outcomes that share the results of all
-# but the last _CHUNK_PAIRS pairs, and always the first pair's result.  No
-# buffer or temporary then holds more than 4^_CHUNK_PAIRS outcomes' states,
-# 1 MB at N = 8, next to the 268 MB table.
-_CHUNK_PAIRS = 4
+# but the last few pairs, and always the first pair's result.  No buffer or
+# temporary then holds more than one chunk of outcomes' states.  The table's
+# build, Pauli frames and recovery cover the last _TABLE_PAIRS pairs: at N = 6
+# that is 4 chunks of 1 MiB, 4 zgemm calls and 24 pair steps per table, where
+# 4^4-row chunks took 16 and 96.  The recovery product's BLAS policy is
+# fewer, larger calls.
+_TABLE_PAIRS = 5
+
+# The comparator's chunks (``oracle._cross_check``) cover the last
+# _CHECK_PAIRS pairs, 1 MiB at N = 8.  Its chunk buffers are allocated and
+# freed on every call.  With 1 MiB chunks cross_check at N = 6 took 1,100 to
+# 2,300 minor page faults per call, as the freed heap went back to the kernel
+# each time, and 10.4-12.4 ms against 8.6-9.9 ms with 4^4-row chunks, whose
+# calls took a median of 0 (2-CPU Xeon, glibc malloc, 60 calls per process).
+_CHECK_PAIRS = 4
 
 # sigma_r as a signed permutation, entries 0 and +-1 (-iY is real): row j of
 # sigma_r holds _FRAME_SIGN[r - 1, j] in column _FRAME_INDEX[r - 1, j].
@@ -318,33 +329,40 @@ _FRAME_INDEX = np.abs(SIGMA).argmax(axis=2)
 _FRAME_SIGN = np.take_along_axis(SIGMA.real, _FRAME_INDEX[:, :, None], axis=2)[:, :, 0]
 
 
-def _chunk_rows(n: int) -> int:
-    return 4 ** min(n - 1, _CHUNK_PAIRS)
+def _chunk_rows(n: int, pairs: int) -> int:
+    return 4 ** min(n - 1, pairs)
 
 
-def _chunks(n: int):
-    """Each chunk's rows in the outcome table and the leading results (0-based) it fixes."""
-    size = _chunk_rows(n)
-    lead = n - min(n - 1, _CHUNK_PAIRS)
+def _chunks(n: int, pairs: int = _CHECK_PAIRS):
+    """Each chunk's rows in the outcome table and the leading results (0-based) it fixes,
+    for chunks that cover the last min(n - 1, ``pairs``) pairs."""
+    size = _chunk_rows(n, pairs)
+    lead = n - min(n - 1, pairs)
     for c, prefix in enumerate(itertools.product(range(4), repeat=lead)):
         yield slice(c * size, (c + 1) * size), prefix
 
 
 def _outcome_chunks(
-    inst: TeleportationInstance, table: np.ndarray | None = None
+    inst: TeleportationInstance, table: np.ndarray | None = None, pairs: int = _CHECK_PAIRS
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Each chunk's rows of the outcome table and its unnormalized collapsed states.
 
-    Each chunk of rows is contracted one pair at a time in two chunk-sized
-    buffers.  The last pair writes the chunk into ``table[rows]`` when a
-    table is given and into one of the buffers otherwise, which the next
-    chunk overwrites.  The caller checks ``ENUMERATION_CAP``.
+    Each chunk of rows, of the last min(N - 1, ``pairs``) pairs, is
+    contracted one pair at a time: ``_contract_pair`` forms each product in a
+    chunk-sized buffer and moves it into a second one.  The last pair writes
+    the chunk into ``table[rows]`` when a table is given, so the second
+    buffer then holds at most the step before it, a quarter of a chunk.
+    Otherwise the last pair writes into the second, chunk-sized, buffer,
+    which the next chunk overwrites.  The rows are the same bits under any
+    ``pairs``.  The caller checks ``ENUMERATION_CAP``.
     """
     n = inst.num_qubits
     stacks = inst._blocks
     x = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
-    buf, out = (np.empty(_chunk_rows(n) << n, dtype=np.complex128) for _ in range(2))
-    for rows, prefix in _chunks(n):
+    size = _chunk_rows(n, pairs) << n
+    buf = np.empty(size, dtype=np.complex128)
+    out = np.empty(size if table is None else size // 4, dtype=np.complex128)
+    for rows, prefix in _chunks(n, pairs):
         # The leading pairs contribute only the block for the chunk's result.
         blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + list(stacks[len(prefix) :])
         t = x
@@ -367,7 +385,7 @@ def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]
             f"refusing to enumerate 4**{n} outcomes (cap is {ENUMERATION_CAP} qubits)"
         )
     table = np.empty((4**n, 1 << n), dtype=np.complex128)
-    for _ in _outcome_chunks(inst, table):
+    for _ in _outcome_chunks(inst, table, _TABLE_PAIRS):
         pass
     flat = table.view(np.float64)
     return table, np.einsum("ij,ij->i", flat, flat)
@@ -401,16 +419,17 @@ def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     overwrite and the next chunk does.
     """
     n = x.size.bit_length() - 1
-    tail = min(n - 1, _CHUNK_PAIRS)
+    tail = min(n - 1, _TABLE_PAIRS)
     tail_index, tail_sign = _pauli_frame([range(4)] * tail)
     # Row a of ``signed`` holds the amplitudes whose leading bits are a, then
     # their negatives; entry (k, a, b) of ``gather`` is a flat index into it.
     tail_index += np.where(tail_sign < 0, 1 << tail, 0)
     lead_rows = np.arange(1 << (n - tail))
     gather = (lead_rows[:, None] << (tail + 1)) + tail_index[:, None, :]
+    del tail_index, tail_sign  # a quarter chunk each, not needed while the chunks run
     x = x.reshape(len(lead_rows), -1)
     out = np.empty(gather.shape, dtype=x.dtype)
-    for rows, prefix in _chunks(n):
+    for rows, prefix in _chunks(n, _TABLE_PAIRS):
         index, sign = _pauli_frame([(r,) for r in prefix])
         lead = x[index[0]] * sign[0][:, None]
         signed = np.concatenate([lead, -lead], axis=1)
@@ -437,7 +456,7 @@ def _recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> 
     w_t = reduce(np.kron, inst._inverse_blocks[:, 0]).T
     x2 = inst.input_state.squared_norm()
     fid = np.empty(4**n)
-    z = np.empty((_chunk_rows(n), 1 << n), dtype=np.complex128)
+    z = np.empty((_chunk_rows(n, _TABLE_PAIRS), 1 << n), dtype=np.complex128)
     flat = z.view(np.float64)
     for rows, framed in _chunk_frames(inst.input_state.amps.conj()):
         np.matmul(collapsed[rows], w_t, out=z)

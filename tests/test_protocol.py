@@ -802,6 +802,46 @@ class TestOneOutcomeIsTheTableArithmetic:
             assert sample_outcome(inst, seed) == reference.draw(seed)
 
 
+class TestChunkPlans:
+    """The table passes and the comparator cut the outcomes into chunks of different
+    sizes; the size is a performance choice and must not change a bit."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_comparator_chunks_are_the_table_rows(self, n, conv):
+        """The comparator's chunks tile the outcomes in order, each inside one quarter
+        (``oracle._cross_check`` matches a chunk to the projection of quarter
+        ``rows.start // 4^(N-1)``), and hold the table's rows byte for byte."""
+        inst = random_instance(n, np.random.default_rng(230 + n), conv)
+        table, _ = _outcome_table(inst)
+        quarter = 4 ** (n - 1)
+        covered = 0
+        for rows, predicted in _outcome_chunks(inst):
+            assert rows.start == covered
+            assert rows.start // quarter == (rows.stop - 1) // quarter, rows
+            assert predicted.tobytes() == table[rows].tobytes(), rows
+            covered = rows.stop
+        assert covered == 4**n
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_table_scratch_is_at_most_three_chunks(self, n):
+        """Beyond the 16 * 8^N-byte table, ``enumerate_outcomes`` holds at most three
+        buffers of one 4^5-row chunk (16 * 4^5 * 2^N bytes) at a time, its probabilities
+        and fidelities included.  The build holds a chunk and a quarter; the recovery
+        pass holds a chunk for the product with W, one for the frames and half of one
+        for their gather index.  numpy reports its allocations to tracemalloc, so the
+        peak bounds what the table path allocates, and so its share of the peak RSS."""
+        inst = random_instance(n, np.random.default_rng(240 + n), BHS)
+        enumerate_outcomes(inst)
+        tracemalloc.start()
+        try:
+            enumerate_outcomes(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8**n + 3 * (16 * 4**5 << n)
+
+
 class TestInstanceCaches:
     """An instance builds its blocks, determinants and inverse blocks once and keeps
     them.  They must be the per-pair builders' values bit for bit, read-only, and
