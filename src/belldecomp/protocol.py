@@ -14,7 +14,7 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -70,12 +70,13 @@ class TeleportationInstance:
     The input state and every pair must have unit norm to within
     ``NORM_WARN_TOL``; the Born probabilities only sum to 1 when they do.
 
-    The blocks, determinants and inverse blocks depend on the channel and the
-    convention alone, so each is built on its first use and kept, as a
-    read-only stack or a tuple.  Every value they are built from is
-    immutable: the fields are frozen and pair coefficients are read-only.
-    Determinants are kept, never a verdict: each caller compares them with
-    its own tolerance.
+    The blocks, determinants, inverse blocks and the recovery pass's W^T
+    depend on the channel and the convention alone, so each is built on its
+    first use and kept, as a read-only array or a tuple.  Every value they
+    are built from is immutable: the fields are frozen and pair coefficients
+    are read-only.  Determinants are kept, never a verdict: each caller
+    compares them with its own tolerance.  Nothing that depends on the input
+    state is kept.
     """
 
     input_state: StateVector
@@ -118,6 +119,16 @@ class TeleportationInstance:
         return _read_only(
             np.stack([inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs])
         )
+
+    @cached_property
+    def _recovery_matrix(self) -> np.ndarray:
+        """W^T, where W = M_1^-1 (x) ... (x) M_N^-1 is every outcome's shared inverse
+        in ``_recovery_fidelities``: 16 * 4^N bytes, 1 MiB at N = 8.
+
+        Built from ``_inverse_blocks``, so only once a caller's invertibility
+        check has passed.
+        """
+        return _read_only(reduce(np.kron, self._inverse_blocks[:, 0]).T)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -408,6 +419,24 @@ def _pauli_frame(results: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarr
     return index, sign
 
 
+@lru_cache(maxsize=ENUMERATION_CAP)
+def _frame_gather(n: int) -> np.ndarray:
+    """The read-only gather index of every chunk's frames at N = ``n``, (4^t, 2^(n-t), 2^t)
+    for the t = min(n - 1, _TABLE_PAIRS) tail pairs.
+
+    It depends on N alone, so it is built once per N and kept: 0.5 MiB at
+    N = 6, 2 MiB at N = 8.  Row a of a chunk's ``signed`` array holds the
+    amplitudes whose leading bits are a, then their negatives; entry
+    (k, a, b) is a flat index into it, for tail result k in lexicographic
+    order.
+    """
+    tail = min(n - 1, _TABLE_PAIRS)
+    tail_index, tail_sign = _pauli_frame([range(4)] * tail)
+    tail_index += np.where(tail_sign < 0, 1 << tail, 0)
+    lead_rows = np.arange(1 << (n - tail))
+    return _read_only((lead_rows[:, None] << (tail + 1)) + tail_index[:, None, :])
+
+
 def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """Each chunk's rows and, row by row, Sigma_r x for the outcome r of that row.
 
@@ -415,19 +444,13 @@ def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     fixes times one table over every result of the tail pairs, so nothing
     larger than a chunk is built.  The leading part acts on the 2^N
     amplitudes, once per chunk; one gather then reads every row from them and
-    their negatives.  The yielded array is one buffer, which the caller may
-    overwrite and the next chunk does.
+    their negatives.  The gather index is ``_frame_gather``'s, kept per N;
+    each chunk's leading part is built on every call.  The yielded array is
+    one buffer, which the caller may overwrite and the next chunk does.
     """
     n = x.size.bit_length() - 1
-    tail = min(n - 1, _TABLE_PAIRS)
-    tail_index, tail_sign = _pauli_frame([range(4)] * tail)
-    # Row a of ``signed`` holds the amplitudes whose leading bits are a, then
-    # their negatives; entry (k, a, b) of ``gather`` is a flat index into it.
-    tail_index += np.where(tail_sign < 0, 1 << tail, 0)
-    lead_rows = np.arange(1 << (n - tail))
-    gather = (lead_rows[:, None] << (tail + 1)) + tail_index[:, None, :]
-    del tail_index, tail_sign  # a quarter chunk each, not needed while the chunks run
-    x = x.reshape(len(lead_rows), -1)
+    gather = _frame_gather(n)
+    x = x.reshape(gather.shape[1], -1)
     out = np.empty(gather.shape, dtype=x.dtype)
     for rows, prefix in _chunks(n, _TABLE_PAIRS):
         index, sign = _pauli_frame([(r,) for r in prefix])
@@ -450,10 +473,12 @@ def _recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> 
     chunk of rows is multiplied by W^T in one matrix product, and each row of
     the product is read against the input in its own outcome's frame.  Rows
     of zero norm give NaN.  The caller has checked that every pair is
-    invertible.
+    invertible.  W^T is kept by the instance (``_recovery_matrix``) and the
+    frames' gather index per N (``_frame_gather``); the frames, products and
+    fidelities are built on every call.
     """
     n = inst.num_qubits
-    w_t = reduce(np.kron, inst._inverse_blocks[:, 0]).T
+    w_t = inst._recovery_matrix
     x2 = inst.input_state.squared_norm()
     fid = np.empty(4**n)
     z = np.empty((_chunk_rows(n, _TABLE_PAIRS), 1 << n), dtype=np.complex128)

@@ -41,7 +41,9 @@ from belldecomp.decomposition import (
     pair_blocks,
 )
 from belldecomp.protocol import (
+    ENUMERATION_CAP,
     _chunk_frames,
+    _frame_gather,
     _inverse_cdf_step,
     _outcome_chunks,
     _outcome_table,
@@ -728,14 +730,21 @@ class TestRecoveryKernel:
     """The table's fidelities: one product with the shared inverse W per chunk, read
     against the input in each outcome's Pauli frame."""
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_chunk_frames_are_the_pauli_products(self, n):
-        """Frame k of each chunk is Sigma_r x for the outcome r of row k, bit for bit."""
+        """Frame k of each chunk is Sigma_r x for the outcome r of row k, bit for bit.
+
+        Up to N = 4 one chunk is the whole table and every row is checked; at
+        N = 5, 6 and 7 one kept gather index serves 4, 4 and 16 chunks, and a
+        few rows of each are checked."""
         x = random_state(n, np.random.default_rng(130 + n)).amps
         outcomes = list(itertools.product(range(4), repeat=n))
         covered = []
         for rows, framed in _chunk_frames(x):
-            for k, r in enumerate(outcomes[rows]):
+            size = len(framed)
+            ks = range(size) if n <= 4 else sorted({0, 1, size // 3, size - 2, size - 1})
+            for k in ks:
+                r = outcomes[rows.start + k]
                 sigma = reduce(np.kron, SIGMA[list(r)])
                 assert np.array_equal(framed[k].reshape(-1), sigma @ x), r
             covered += range(4**n)[rows]
@@ -828,9 +837,10 @@ class TestChunkPlans:
         """Beyond the 16 * 8^N-byte table, ``enumerate_outcomes`` holds at most three
         buffers of one 4^5-row chunk (16 * 4^5 * 2^N bytes) at a time, its probabilities
         and fidelities included.  The build holds a chunk and a quarter; the recovery
-        pass holds a chunk for the product with W, one for the frames and half of one
-        for their gather index.  numpy reports its allocations to tracemalloc, so the
-        peak bounds what the table path allocates, and so its share of the peak RSS."""
+        pass holds a chunk for the product with W and one for the frames; their
+        gather index, half a chunk, is kept per N from the first call.  numpy reports
+        its allocations to tracemalloc, so the peak bounds what the table path
+        allocates, and so its share of the peak RSS."""
         inst = random_instance(n, np.random.default_rng(240 + n), BHS)
         enumerate_outcomes(inst)
         tracemalloc.start()
@@ -884,6 +894,68 @@ class TestInstanceCaches:
         for call in (lambda: recover(c, inst, (1, 2), tol), lambda: enumerate_outcomes(inst, tol)):
             with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
                 call()
+
+
+class TestRecoveryCaches:
+    """The recovery pass keeps two constants: the frames' gather index per N
+    (``_frame_gather``) and W^T per instance (``_recovery_matrix``).  Neither may change
+    a bit of the table, and neither may be written through."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cold_and_warm_caches_give_the_same_bytes(self, n, conv):
+        inst = random_instance(n, np.random.default_rng(260 + n), conv)
+        _frame_gather.cache_clear()
+        cold = enumerate_outcomes(inst)
+        assert "_recovery_matrix" in vars(inst)
+        warm = enumerate_outcomes(inst)
+        for name in ("collapsed", "probabilities", "fidelities"):
+            assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes(), name
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_recovery_matrix_is_the_kron_of_the_inverses(self, n, conv):
+        inst = random_instance(n, np.random.default_rng(270 + n), conv)
+        w_t = inst._recovery_matrix
+        assert w_t.tobytes() == reduce(np.kron, inst._inverse_blocks[:, 0]).T.tobytes()
+        assert w_t is inst._recovery_matrix
+        assert not w_t.flags.writeable
+
+    def test_gather_is_read_only_and_shared_per_qubit_count(self):
+        _frame_gather.cache_clear()
+        a, b = (random_instance(5, np.random.default_rng(seed), BHS) for seed in (280, 281))
+        enumerate_outcomes(a)
+        before = _frame_gather.cache_info()
+        enumerate_outcomes(b)
+        after = _frame_gather.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        gather = _frame_gather(5)
+        assert not gather.flags.writeable
+        with pytest.raises(ValueError):
+            gather[0, 0, 0] = 0
+
+    def test_gather_cache_holds_at_most_one_entry_per_enumerable_size(self):
+        _frame_gather.cache_clear()
+        for n in [*range(1, ENUMERATION_CAP + 1), 6, 1]:
+            _frame_gather(n)
+        info = _frame_gather.cache_info()
+        assert info.maxsize == info.currsize == ENUMERATION_CAP
+        assert info.hits == 2
+
+    def test_non_invertible_instance_leaves_the_recovery_matrix_unbuilt(self):
+        product = EntangledPair(np.array([1, 0, 0, 0], dtype=complex))
+        ch = Channel((mes_pair(), product))
+        inst = TeleportationInstance(random_state(2, np.random.default_rng(290)), ch, BHS)
+        assert not enumerate_outcomes(inst).invertible
+        assert "_recovery_matrix" not in vars(inst)
+        # Invertible at tol = 0, but not at the determinant's own magnitude.
+        t = 0.5 * math.asin(2e-3)
+        ch = Channel((mes_pair(), diagonal_pair(math.cos(t), math.sin(t))))
+        inst = TeleportationInstance(random_state(2, np.random.default_rng(291)), ch, BHS)
+        assert not enumerate_outcomes(inst, tol=abs(pair_determinant(ch.pairs[1]))).invertible
+        assert "_recovery_matrix" not in vars(inst)
+        assert enumerate_outcomes(inst, tol=0).invertible
+        assert "_recovery_matrix" in vars(inst)
 
 
 BAD_TOLERANCES = [-1.0, -1e-300, math.nan, math.inf, -math.inf, True, "1e-9", None]
