@@ -1,8 +1,9 @@
 """Command line front end: decompose, teleport, verify, sweep.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error or a
-request too large for memory, 3 channel criterion failure.  Set
-BELLDECOMP_OUTPUT_DIR to redirect relative --output paths.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error, a
+request too large for memory or an --output that cannot be written, 3 channel
+criterion failure.  Set BELLDECOMP_OUTPUT_DIR to redirect relative --output
+paths.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import itertools
 import json
 import math
@@ -17,7 +19,7 @@ import os
 import sys
 from functools import reduce
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, NoReturn, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -150,15 +152,26 @@ def parse_outcome(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in digits)
 
 
-def _resolve_output(path_text: str | None) -> Path | None:
-    if path_text is None:
-        return None
+@contextlib.contextmanager
+def _open_output(path_text: str) -> Iterator[TextIO]:
+    """``path_text``, under BELLDECOMP_OUTPUT_DIR when relative, open for writing.
+
+    Missing parent directories are made.  An OSError in making them, or in
+    opening, writing or closing the file, is reported as a CliInputError
+    naming the path; a closed pipe is left to ``main``.
+    """
     path = Path(path_text)
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            yield fh
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise CliInputError(f"cannot write output {path}: {exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:
@@ -344,9 +357,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    out_path = _resolve_output(args.output)
-    if out_path is not None:
-        out_path.write_text(text)
+    if args.output is not None:
+        with _open_output(args.output) as fh:
+            fh.write(text)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
@@ -380,8 +393,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # The first point is computed before the output is opened: input that
     # enumerate_outcomes or TeleportationInstance refuses writes nothing.
     first = next(points)
-    out_path = _resolve_output(args.output)
-    with (out_path.open("w", newline="") if out_path else contextlib.nullcontext(sys.stdout)) as fh:
+    out = contextlib.nullcontext(sys.stdout) if args.output is None else _open_output(args.output)
+    with out as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("theta", "outcome", "probability", "abs_det_min", "min_singular_value"))
         for point in itertools.chain([first], points):
@@ -504,5 +517,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
+def _run() -> NoReturn:
+    """The process entry: ``python -m belldecomp.cli`` and the ``belldecomp`` script.
+
+    Everything alive after the imports lives until exit, so it is moved to
+    the collector's permanent generation: neither the command's collections
+    nor those at interpreter shutdown walk numpy's objects again.  ``main``
+    leaves the collector as its caller had it.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _run()

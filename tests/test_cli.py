@@ -1,5 +1,7 @@
 """End-to-end tests for the command line interface."""
 
+import ast
+import gc
 import json
 import math
 import os
@@ -18,6 +20,16 @@ from belldecomp.oracle import ORACLE_CAP
 # Golden CLI outputs and the inputs of the sweep that made them.
 DATA = Path(__file__).parent / "data"
 CONVENTIONS = ["bob-holds-first", "bob-holds-second"]
+
+
+def cli_process(argv, **popen_kwargs):
+    """``python -m belldecomp.cli`` on ``argv`` in a fresh interpreter, on the package under test."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.Popen(
+        [sys.executable, "-m", "belldecomp.cli", *argv], env=env, **popen_kwargs
+    )
 
 
 def write_state(path, num_qubits, amps):
@@ -561,6 +573,119 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    """An --output that cannot be written ends in one error line and exit 2.  These
+    raised FileExistsError, IsADirectoryError or ENOSPC out of ``main``: a traceback
+    and exit 1."""
+
+    @pytest.mark.parametrize("under_env", [False, True], ids=["absolute", "output-dir-env"])
+    @pytest.mark.parametrize(
+        "target", ["afile/x.out", "adir"], ids=["parent-is-a-file", "output-is-a-directory"]
+    )
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_exits_2_with_one_error_line(
+        self, command, target, under_env, one_qubit, tmp_path, monkeypatch, capsys
+    ):
+        state, channel = one_qubit
+        base = tmp_path / "base"
+        (base / "adir").mkdir(parents=True)
+        (base / "afile").write_text("kept")
+        if under_env:
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(base))
+            output = target
+        else:
+            output = str(base / target)
+        argv = [command, "--state", state, "--channel", channel, "--output", output]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write output {base / target}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+        # verify prints its report before it opens --output; sweep writes only to it.
+        if command == "verify":
+            assert captured.out.splitlines()[-1] == "result: PASS"
+        else:
+            assert captured.out == ""
+        assert (base / "afile").read_text() == "kept"
+        assert list((base / "adir").iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_a_failed_write_exits_2(self, command, one_qubit, capsys):
+        """/dev/full opens, and refuses every write with ENOSPC."""
+        state, channel = one_qubit
+        argv = [command, "--state", state, "--channel", channel, "--output", "/dev/full"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output /dev/full: ")
+        assert len(err.splitlines()) == 1
+
+
+class TestProcessEntry:
+    """``python -m belldecomp.cli`` and the ``belldecomp`` script run ``cli._run``,
+    which freezes the import-time heap; ``main`` leaves the collector alone."""
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    def test_verify_in_a_fresh_process_prints_the_golden(self, conv):
+        proc = cli_process(
+            ["verify", "--convention", conv, "--random-instances", "2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        fixtures = str(cli.DEFAULT_STATE_FIXTURE.resolve().parent).encode()
+        assert out.replace(fixtures, b"{fixtures}") == (DATA / f"verify_{conv}.txt").read_bytes()
+
+    @pytest.mark.parametrize("conv", CONVENTIONS)
+    @pytest.mark.parametrize("variant", ["", "product_"])
+    def test_decompose_in_a_fresh_process_prints_the_golden(self, conv, variant):
+        channel = DATA / f"decompose3_{variant}channel.json"
+        proc = cli_process(
+            ["decompose", "--convention", conv, "--outcome", "234", "--channel", str(channel)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        assert out == (DATA / f"decompose_{variant}{conv}.txt").read_bytes()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_was(self, enabled, capsys):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            frozen = gc.get_freeze_count()
+            assert cli.main(["verify"]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_run_freezes_the_heap_then_exits_with_mains_code(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "main", lambda: seen.append(gc.get_freeze_count()) or 3)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                cli._run()
+        finally:
+            gc.unfreeze()
+        assert exc.value.code == 3
+        assert seen[0] > 0
+
+    def test_console_script_is_the_main_block_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+        module, name = pyproject["project"]["scripts"]["belldecomp"].split(":")
+        assert module == cli.__name__
+        tree = ast.parse(Path(cli.__file__).read_text())
+        [block] = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+        assert callable(getattr(cli, name))
+
+
 class TestGoldenOutput:
     """stdout byte for byte against outputs captured from the CLI: ``verify`` and
     ``sweep`` at commit 4118d51, ``decompose`` and ``teleport`` at commit 7d56fdb.
@@ -609,22 +734,31 @@ class TestGoldenOutput:
 
 
 class TestClosedPipe:
-    def test_reader_closing_early_exits_quietly(self, tmp_path):
-        """`belldecomp sweep ... | head -1`: exit 0, nothing on stderr."""
+    @pytest.mark.parametrize(
+        "output",
+        [
+            [],
+            pytest.param(
+                ["--output", "/dev/stdout"],
+                marks=pytest.mark.skipif(
+                    not Path("/dev/stdout").exists(), reason="needs /dev/stdout"
+                ),
+            ),
+        ],
+        ids=["stdout", "output-dev-stdout"],
+    )
+    def test_reader_closing_early_exits_quietly(self, output, tmp_path):
+        """`belldecomp sweep ... | head -1`: exit 0, nothing on stderr, also when
+        the pipe is the --output file."""
         rng = np.random.default_rng(91)
         amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         state = write_state(tmp_path / "s.json", 5, list(amps / np.linalg.norm(amps)))
         channel = write_channel(tmp_path / "c.json", [MES] * 5)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         # 9 * 4^5 rows, far more than the pipe holds, so writes continue after the close
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "belldecomp.cli", "sweep", "--state", state,
-             "--channel", channel],
+        proc = cli_process(
+            ["sweep", "--state", state, "--channel", channel, *output],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
         )
         first = proc.stdout.readline()
         proc.stdout.close()
