@@ -31,7 +31,7 @@ from .decomposition import (
     pair_blocks,
     validate_outcome,
 )
-from .tensor import StateVector, _integer, fidelity
+from .tensor import StateVector, _check_finite, _integer, _unit, fidelity
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -72,9 +72,11 @@ class TeleportationInstance:
 
     The blocks, determinants, inverse blocks and the recovery pass's W^T
     depend on the channel and the convention alone, so each is built on its
-    first use and kept, as a read-only array or a tuple.  Every value they
-    are built from is immutable: the fields are frozen and pair coefficients
-    are read-only.  Determinants are kept, never a verdict: each caller
+    first use and kept, as a read-only array or a tuple.  So are copies of
+    the blocks and inverse blocks in the layouts the single-outcome steps
+    read, input index first, 256 * N bytes each.  Every value they are built
+    from is immutable: the fields are frozen and pair coefficients are
+    read-only.  Determinants are kept, never a verdict: each caller
     compares them with its own tolerance.  Nothing that depends on the input
     state is kept.
     """
@@ -105,6 +107,18 @@ class TeleportationInstance:
         return _read_only(np.stack([pair_blocks(p, self.convention) for p in self.channel.pairs]))
 
     @cached_property
+    def _step_blocks(self) -> np.ndarray:
+        """``_blocks`` as ``_contract_outcome`` reads them: (N, 4, 2, 2, 1), with
+        ``_blocks[i, r, b, a]`` at [i, r, a, b, 0]."""
+        return _copy_as(self._blocks, (0, 1, 3, 2))[..., None]
+
+    @cached_property
+    def _draw_blocks(self) -> np.ndarray:
+        """``_blocks`` as ``_apply_blocks`` reads them: (N, 2, 1, 4, 2), with
+        ``_blocks[i, k, b, a]`` at [i, a, 0, k, b]."""
+        return _copy_as(self._blocks, (0, 3, 1, 2))[:, :, None]
+
+    @cached_property
     def _determinants(self) -> tuple[complex, ...]:
         return tuple(map(pair_determinant, self.channel.pairs))
 
@@ -119,6 +133,11 @@ class TeleportationInstance:
         return _read_only(
             np.stack([inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs])
         )
+
+    @cached_property
+    def _inverse_step_blocks(self) -> np.ndarray:
+        """``_inverse_blocks`` in the layout of ``_step_blocks``."""
+        return _copy_as(self._inverse_blocks, (0, 1, 3, 2))[..., None]
 
     @cached_property
     def _recovery_matrix(self) -> np.ndarray:
@@ -136,6 +155,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _copy_as(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """A read-only C-ordered copy of ``a.transpose(axes)``."""
+    return _read_only(np.ascontiguousarray(a.transpose(axes)))
+
+
 def _contract_pair(
     blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
@@ -148,11 +172,11 @@ def _contract_pair(
     result follows the earlier results and its receiver qubit follows the
     earlier qubits, so the next pair's input qubit leads and, after the last
     pair, the rows are outcome rows in lexicographic order.  The table
-    passes use it; the sampler and single outcomes use ``_apply_blocks``,
-    whose arithmetic is the same.  ``buf`` holds the (k, 2, ...) product on
-    the way.  Elementwise products keep this off BLAS: threaded OpenBLAS
-    calls of these shapes were measured to stall for about 8 ms each on a
-    2-CPU machine.
+    passes use it; the sampler uses ``_apply_blocks`` and single outcomes
+    ``_contract_outcome``, whose arithmetic is the same.  ``buf`` holds the
+    (k, 2, ...) product on the way.  Elementwise products keep this off
+    BLAS: threaded OpenBLAS calls of these shapes were measured to stall for
+    about 8 ms each on a 2-CPU machine.
     """
     k = len(blocks)
     m, rows, q = t.shape
@@ -168,34 +192,44 @@ def _contract_pair(
 
 
 def _apply_blocks(blocks: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """``out[m', ..., b] = blocks[..., b, 0] t[0, m'] + blocks[..., b, 1] t[1, m']``.
+    """``out[m', k, b] = B_k[b, 0] t[0, m'] + B_k[b, 1] t[1, m']`` for a pair's blocks B_k.
 
-    ``t`` holds 2^n amplitudes whose leading qubit is this pair's input
-    qubit, and ``blocks`` is one (2, 2) block or a (k, 2, 2) stack; ``out``
-    is (2^(n-1), 2) or (2^(n-1), k, 2), so the pair's receiver qubit follows
-    the qubits still to measure.  These are the multiplies and the add of
-    ``_contract_pair`` element for element, written straight into ``out``.
-    The block must be the first factor: numpy's complex multiply is not bit
-    for bit symmetric in its operands.
+    The sampler's step.  ``t`` holds 2^n amplitudes whose leading qubit is
+    this pair's input qubit, ``blocks`` is the pair's entry of
+    ``_draw_blocks``, B_k[b, a] at [a, 0, k, b], and ``out`` is
+    (2^(n-1), 4, 2), so each child's receiver qubit follows the qubits
+    still to measure.  One multiply forms the products for both values a of
+    the input qubit, input-major as [a, m', k, b]: 8 * 2^n amplitudes, freed
+    after the step.  One add sums the a = 0 and a = 1 products into
+    ``out``.  These are the multiplies and the add of ``_contract_pair``
+    element for element.  The block must be the first factor: numpy's
+    complex multiply is not bit for bit symmetric in its operands.
     """
-    t = t.reshape((2, -1) + (1,) * (blocks.ndim - 1))
-    np.multiply(blocks[..., 0], t[0], out=out)
-    out += blocks[..., 1] * t[1]
+    product = np.multiply(blocks, t.reshape(2, -1, 1, 1))
+    np.add(product[0], product[1], out=out)
 
 
-def _contract_outcome(stacks: np.ndarray, outcome: BellOutcome, t: np.ndarray) -> StateVector:
+def _contract_outcome(stacks: np.ndarray, outcome: BellOutcome, t: np.ndarray) -> np.ndarray:
     """Each pair's block for its result in ``outcome``, applied to the amplitudes ``t``.
 
-    ``stacks`` is (N, 4, 2, 2).  Pair i's step moves its receiver qubit
-    behind the rest, so after the last pair the amplitudes are in order.
+    ``stacks`` is ``_step_blocks`` or ``_inverse_step_blocks``.  Pair i's
+    step writes ``out[m', b] = B[b, 0] t[0, m'] + B[b, 1] t[1, m']`` for its
+    block B, so its receiver qubit moves behind the rest and, after the last
+    pair, the returned flat 2^N amplitudes are in order.  One multiply forms
+    the products for both values a of the leading input qubit as [a, b, m'],
+    the 2^(n-1) remaining amplitudes m' innermost, and one add sums them into
+    ``out`` through its transpose.  That is the arithmetic of
+    ``_apply_blocks``, block first, with the long axis in the inner loop.
+    The steps share one product buffer of 2^(N+1) amplitudes: a new product
+    per step, 32 MiB at N = 20, took up to twice as long there.
     """
-    n = len(outcome)
+    m = t.size // 2
+    product = np.empty((2, 2, m), dtype=np.complex128)
     for s, r in zip(stacks, outcome):
-        out = np.empty((1 << (n - 1), 2), dtype=np.complex128)
-        _apply_blocks(s[r - 1], t, out)
-        t = out
-    t.flags.writeable = False
-    return StateVector(n, t)
+        np.multiply(s[r - 1], t.reshape(2, 1, m), out=product)
+        t = np.empty((m, 2), dtype=np.complex128)
+        np.add(product[0], product[1], out=t.T)
+    return t.reshape(-1)
 
 
 def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> StateVector:
@@ -207,7 +241,8 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
-    return _contract_outcome(inst._blocks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
+    amps = _contract_outcome(inst._step_blocks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
+    return StateVector(n, _read_only(amps))
 
 
 def _non_invertible_pairs(inst: TeleportationInstance, tol: float) -> tuple[int, ...]:
@@ -230,7 +265,10 @@ def recover(
     Pauli frame.  Every call compares the pair determinants with its own
     ``tol``: it raises NotInvertibleError naming the offending pair(s) when
     any determinant magnitude is at or below ``tol``, and ValueError unless
-    ``tol`` is a finite number >= 0.
+    ``tol`` is a finite number >= 0.  The recovered amplitudes raise
+    ValueError, as ``StateVector`` and its normalisation do, when one is not
+    finite or all are zero, and ``fidelity`` raises when their norm
+    overflows.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
@@ -243,7 +281,10 @@ def recover(
             "recovery transform does not exist",
             pair_indices=bad,
         )
-    recovered = _contract_outcome(inst._inverse_blocks, out, collapsed.amps).normalized()
+    amps = _contract_outcome(inst._inverse_step_blocks, out, collapsed.amps)
+    # Checked before the division, which would turn an infinite amplitude into NaN.
+    _check_finite(amps)
+    recovered = StateVector(n, _unit(amps))
     return recovered, fidelity(recovered, inst.input_state)
 
 
@@ -613,8 +654,9 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     the running state are proportional to the probabilities of the results
     drawn so far followed by each result of pair i, so each step picks one of
     four children of the running state and keeps it.  A draw costs O(N * 2^N),
-    one buffer of 4 * 2^N amplitudes for the children and one of 2^N for the
-    running state; the 4^N outcomes are never tabulated.  Zero-probability
+    one buffer of 4 * 2^N amplitudes for the children, one of 2^N for the
+    running state and, within each step, ``_apply_blocks``'s product of
+    8 * 2^N; the 4^N outcomes are never tabulated.  Zero-probability
     outcomes are never produced.
     """
     seed = _valid_seed(seed)
@@ -628,7 +670,7 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     children = np.empty((1 << (n - 1), 4, 2), dtype=np.complex128)
     flat = children.view(np.float64)
     outcome = []
-    for blocks in inst._blocks:
+    for blocks in inst._draw_blocks:
         _apply_blocks(blocks, state, children)
         r, u = _inverse_cdf_step(np.einsum("ikj,ikj->k", flat, flat).tolist(), u)
         state.reshape(-1, 2)[...] = children[:, r]

@@ -68,8 +68,7 @@ class StateVector:
         if n >= 63 or amps.size != 1 << n:
             expected = 1 << n if n < 63 else f"2**{n}"
             raise ValueError(f"expected {expected} amplitudes for {n} qubit(s), got {amps.size}")
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite")
+        _check_finite(amps)
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amps", amps)
 
@@ -86,12 +85,28 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        amps = self.amps / n
-        amps.flags.writeable = False
-        return StateVector(self.num_qubits, amps)
+        return StateVector(self.num_qubits, _unit(self.amps))
+
+
+def _check_finite(amps: np.ndarray) -> None:
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
+
+
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """``amps`` divided by their 2-norm, as a new read-only array.
+
+    The normalisation of ``StateVector.normalized`` and of the state
+    ``recover`` returns.  Raises ValueError for a zero state.  The amplitudes
+    must be finite: the division turns an infinite one into NaN, with a
+    warning.
+    """
+    n = float(np.linalg.norm(amps))
+    if n == 0.0:
+        raise ValueError("cannot normalize a zero state")
+    amps = amps / n
+    amps.flags.writeable = False
+    return amps
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

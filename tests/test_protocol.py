@@ -5,6 +5,7 @@ import itertools
 import math
 import statistics
 import tracemalloc
+import warnings
 from collections.abc import Sequence
 from functools import reduce
 
@@ -42,6 +43,7 @@ from belldecomp.decomposition import (
 )
 from belldecomp.protocol import (
     ENUMERATION_CAP,
+    _apply_blocks,
     _chunk_frames,
     _frame_gather,
     _inverse_cdf_step,
@@ -218,6 +220,52 @@ class TestRecover:
         _, fid_raw = recover(c, inst, (2,))
         _, fid_scaled = recover(StateVector(1, 5.0 * c.amps), inst, (2,))
         assert fid_raw == pytest.approx(fid_scaled, abs=1e-14)
+
+
+class TestRecoverFailures:
+    """Recovered amplitudes that cannot be normalized end in ValueError.  Each case
+    names the RuntimeWarnings its arithmetic may raise on the way; no other may
+    appear.  They are recorded here because the suite turns warnings into errors."""
+
+    @staticmethod
+    def recover_warns(collapsed, inst, outcome, tol, allowed, match):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=match):
+                recover(collapsed, inst, outcome, tol)
+        assert {str(w.message) for w in caught} <= allowed
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_collapsed_state(self, n, conv):
+        inst = mes_instance(n, seed=61, convention=conv)
+        zero = StateVector(n, np.zeros(1 << n))
+        for out in [(1,) * n, (4,) * n]:
+            self.recover_warns(zero, inst, out, 1e-9, set(), "cannot normalize a zero state")
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_overflowing_recovery(self, r, conv):
+        """|det| = 1e-300 puts 1e300 in M^-1, so 1e300 amplitudes recover to infinity.
+        The finiteness check comes before the division, which would add NaN."""
+        pair = EntangledPair(np.array([1, 0, 0, 1e-300], dtype=complex))
+        inst = TeleportationInstance(StateVector(1, [1, 0]), Channel((pair,)), conv)
+        collapsed = StateVector(1, [1e300, 1e300])
+        allowed = {"overflow encountered in multiply"}
+        self.recover_warns(collapsed, inst, (r,), 0.0, allowed, "amplitudes must be finite")
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_finite_recovery_whose_norm_overflows(self, n, conv):
+        """The recovered amplitudes are finite but their norm is not: they
+        normalize to zeros, whose fidelity is undefined."""
+        inst = mes_instance(n, seed=62, convention=conv)
+        big = StateVector(n, np.full(1 << n, 1e307))
+        for out in [(1,) * n, (4,) * n]:
+            self.recover_warns(
+                big, inst, out, 1e-9, {"overflow encountered in dot"},
+                "fidelity is undefined for a zero-norm state",
+            )
 
 
 class TestChannelCriterion:
@@ -456,9 +504,10 @@ class TestSampleOutcome:
         assert sample_outcome(inst, seed) == sample_outcome(inst, 5)
 
     def test_one_draw_at_the_cap_allocates_under_1_mb(self):
-        """A draw holds buffers of 4 * 2^N and 2^N amplitudes, 20 KB at N = 8, where the
-        (4^8, 2^8) outcome table takes 268 MB.  numpy reports its allocations to
-        tracemalloc, so the peak bounds what the algorithm allocates, not its time."""
+        """A draw holds buffers of 4 * 2^N and 2^N amplitudes and, within each step, a
+        product of 8 * 2^N: 52 KiB at N = 8, where the (4^8, 2^8) outcome table takes
+        268 MB.  numpy reports its allocations to tracemalloc, so the peak bounds what
+        the algorithm allocates, not its time."""
         inst = random_instance(8, np.random.default_rng(160), BHS)
         sample_outcome(inst, 0)
         tracemalloc.start()
@@ -804,6 +853,51 @@ class TestOneOutcomeIsTheTableArithmetic:
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", range(1, 9))
+    def test_recovery_is_the_pair_by_pair_arithmetic(self, n, conv):
+        """``recover`` applies each pair's inverse block as fl(B[b, 0] t0) + fl(B[b, 1] t1),
+        block first, then divides by ``np.linalg.norm``; its fidelity is that of
+        ``fidelity``.  Every outcome up to n = 3, 24 seeded ones above."""
+        rng = np.random.default_rng(300 + n)
+        inst = random_instance(n, rng, conv)
+        x = inst.input_state.amps
+        if n <= 3:
+            outcomes = list(itertools.product((1, 2, 3, 4), repeat=n))
+        else:
+            outcomes = [tuple(int(r) for r in rng.integers(1, 5, n)) for _ in range(24)]
+        for out in outcomes:
+            collapsed = collapsed_state(inst, out)
+            t = collapsed.amps
+            for p, r in zip(inst.channel.pairs, out):
+                b = inverse_pair_blocks(p, conv)[r - 1]
+                t0, t1 = t.reshape(2, -1)
+                t = np.stack([b[j, 0] * t0 + b[j, 1] * t1 for j in (0, 1)], axis=1).reshape(-1)
+            t = t / np.linalg.norm(t)
+            overlap = np.vdot(t, x)
+            fid = min(1.0, float(abs(overlap) ** 2 / (np.vdot(t, t).real * np.vdot(x, x).real)))
+            recovered, f = recover(collapsed, inst, out)
+            assert recovered.amps.tobytes() == t.tobytes(), out
+            assert f.hex() == fid.hex(), out
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_draw_step_is_the_pair_arithmetic(self, n, conv):
+        """The sampler's step gives child k the amplitudes fl(B_k[b, 0] t0) +
+        fl(B_k[b, 1] t1), block first, for each pair's (4, 2, 2) stack."""
+        rng = np.random.default_rng(320 + n)
+        inst = random_instance(n, rng, conv)
+        children = np.empty((1 << (n - 1), 4, 2), dtype=complex)
+        for i, p in enumerate(inst.channel.pairs):
+            stack = pair_blocks(p, conv)
+            t = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            _apply_blocks(inst._draw_blocks[i], t, children)
+            t0, t1 = t.reshape(2, -1)
+            for k, b in enumerate(stack):
+                for j in (0, 1):
+                    expected = b[j, 0] * t0 + b[j, 1] * t1
+                    assert children[:, k, j].tobytes() == expected.tobytes(), (i, k, j)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_draws_are_the_inverse_cdf_of_the_table(self, n, conv):
         inst = random_instance(n, np.random.default_rng(190 + n), conv)
         reference = InverseCdf(inst, table_probabilities(inst))
@@ -870,6 +964,21 @@ class TestInstanceCaches:
         for stack in (inst._blocks, inst._inverse_blocks, inst._inverse_blocks[:, 0]):
             assert not stack.flags.writeable
         assert inst._blocks is inst._blocks
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_step_layouts_are_copies_of_the_stacks(self, conv):
+        """The single-outcome steps read the stacks transposed, input index first."""
+        inst = random_instance(4, np.random.default_rng(205), conv)
+        layouts = [
+            (inst._step_blocks, inst._blocks.transpose(0, 1, 3, 2)[..., None]),
+            (inst._inverse_step_blocks, inst._inverse_blocks.transpose(0, 1, 3, 2)[..., None]),
+            (inst._draw_blocks, inst._blocks.transpose(0, 3, 1, 2)[:, :, None]),
+        ]
+        for layout, expected in layouts:
+            assert layout.shape == expected.shape
+            assert layout.flags.c_contiguous and not layout.flags.writeable
+            assert layout.tobytes() == expected.tobytes()
+        assert inst._step_blocks is inst._step_blocks
 
     def test_a_second_tolerance_gets_its_own_verdict(self):
         t = 0.5 * math.asin(2e-3)  # |det| = cos t sin t = 1e-3
