@@ -38,6 +38,7 @@ from .oracle import _cross_check, _measurement_state, _reconstruction_diff
 from .protocol import (
     ENUMERATION_CAP,
     TeleportationInstance,
+    _non_invertible_pairs,
     _valid_seed,
     channel_criterion,
     collapsed_state,
@@ -178,12 +179,12 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.10g}{z.imag:+.10g}j"
 
 
-def _fmt_matrix(m: np.ndarray, indent: str = "  ") -> str:
+def _fmt_matrix(m: np.ndarray) -> str:
     width = max(len(_fmt_complex(z)) for z in m.reshape(-1))
     rows = []
     for row in m:
         cells = ", ".join(_fmt_complex(z).rjust(width) for z in row)
-        rows.append(f"{indent}[{cells}]")
+        rows.append(f"  [{cells}]")
     return "\n".join(rows)
 
 
@@ -320,7 +321,7 @@ def _verify_instance(
             f"min fidelity = {worst:.15f}, tol {tol_eq:.3e}",
         )
     else:
-        failed = ", ".join(map(str, channel_criterion(inst.channel, tol=tol_inv).failed_pairs))
+        failed = ", ".join(map(str, _non_invertible_pairs(inst, tol_inv)))
         checks.append(("recovery-fidelity", "SKIP", f"pair(s) {failed} not invertible"))
     return [f"check {name}{label}: {verdict} ({detail})" for name, verdict, detail in checks], ok
 

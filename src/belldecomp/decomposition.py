@@ -150,7 +150,8 @@ def decomposition_matrix(
 def _inverse_coefficient_matrix(
     pair: EntangledPair, convention: PairingConvention, tol: float
 ) -> np.ndarray:
-    """M^-1 by the 2x2 adjugate, after the pair determinant check."""
+    """M^-1: the 2x2 adjugate over the checked pair determinant, which forms
+    a*d - b*c of M from the same two products under either convention."""
     det = pair_determinant(pair)
     if not _invertible(det, tol):
         raise NotInvertibleError(
@@ -158,7 +159,7 @@ def _inverse_coefficient_matrix(
             "no recovery transform exists"
         )
     (a, b), (c, d) = _coefficient_matrix(pair, convention)
-    return np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    return np.array([[d, -b], [-c, a]]) / det
 
 
 def inverse_pair_blocks(

@@ -72,13 +72,14 @@ class TeleportationInstance:
 
     The blocks, determinants, inverse blocks and the recovery pass's W^T
     depend on the channel and the convention alone, so each is built on its
-    first use and kept, as a read-only array or a tuple.  So are copies of
-    the blocks and inverse blocks in the layouts the single-outcome steps
-    read, input index first, 256 * N bytes each.  Every value they are built
-    from is immutable: the fields are frozen and pair coefficients are
-    read-only.  Determinants are kept, never a verdict: each caller
-    compares them with its own tolerance.  Nothing that depends on the input
-    state is kept.
+    first use and kept, as a read-only array or a tuple.  Each kernel reads
+    one block stack, kept in its own layout, input index first, 256 * N
+    bytes each: ``_blocks`` for the table passes and the sampler,
+    ``_step_blocks`` and ``_inverse_step_blocks`` for ``collapsed_state``
+    and ``recover``.  Every value they are built from is immutable: the
+    fields are frozen and pair coefficients are read-only.  Determinants
+    are kept, never a verdict: each caller compares them with its own
+    tolerance.  Nothing that depends on the input state is kept.
     """
 
     input_state: StateVector
@@ -103,51 +104,44 @@ class TeleportationInstance:
 
     @cached_property
     def _blocks(self) -> np.ndarray:
-        """Every pair's ``pair_blocks``, stacked as (N, 4, 2, 2)."""
-        return _read_only(np.stack([pair_blocks(p, self.convention) for p in self.channel.pairs]))
+        """Every pair's ``pair_blocks`` input index first: (N, 2, 1, 4, 2), with
+        B_k[b, a] at [i, a, 0, k, b].  ``_contract_pair`` reads [i, :, 0] and
+        ``_apply_blocks`` reads [i]."""
+        stacks = np.stack([pair_blocks(p, self.convention) for p in self.channel.pairs])
+        return _copy_as(stacks, (0, 3, 1, 2))[:, :, None]
 
     @cached_property
     def _step_blocks(self) -> np.ndarray:
-        """``_blocks`` as ``_contract_outcome`` reads them: (N, 4, 2, 2, 1), with
-        ``_blocks[i, r, b, a]`` at [i, r, a, b, 0]."""
-        return _copy_as(self._blocks, (0, 1, 3, 2))[..., None]
-
-    @cached_property
-    def _draw_blocks(self) -> np.ndarray:
-        """``_blocks`` as ``_apply_blocks`` reads them: (N, 2, 1, 4, 2), with
-        ``_blocks[i, k, b, a]`` at [i, a, 0, k, b]."""
-        return _copy_as(self._blocks, (0, 3, 1, 2))[:, :, None]
+        """The blocks as ``_contract_outcome`` reads them: (N, 4, 2, 2, 1), with
+        B_r[b, a] at [i, r - 1, a, b, 0]."""
+        return _copy_as(self._blocks[:, :, 0], (0, 2, 1, 3))[..., None]
 
     @cached_property
     def _determinants(self) -> tuple[complex, ...]:
         return tuple(map(pair_determinant, self.channel.pairs))
 
     @cached_property
-    def _inverse_blocks(self) -> np.ndarray:
-        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, stacked as (N, 4, 2, 2).
-
-        Entry [:, 0] is every pair's M^-1, since sigma_1 = I.  Callers first
-        check every determinant with ``_invertible`` at their tolerance >= 0,
-        so none is 0 and the check at 0 here never fails.
-        """
-        return _read_only(
-            np.stack([inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs])
-        )
-
-    @cached_property
     def _inverse_step_blocks(self) -> np.ndarray:
-        """``_inverse_blocks`` in the layout of ``_step_blocks``."""
-        return _copy_as(self._inverse_blocks, (0, 1, 3, 2))[..., None]
+        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, laid out as ``_step_blocks``.
+
+        Entry [:, 0] is every pair's M^-1 transposed, since sigma_1 = I.
+        Callers first check every determinant with ``_invertible`` at their
+        tolerance >= 0, so none is 0 and the check at 0 here never fails.
+        """
+        stacks = [inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs]
+        return _copy_as(np.stack(stacks), (0, 1, 3, 2))[..., None]
 
     @cached_property
     def _recovery_matrix(self) -> np.ndarray:
         """W^T, where W = M_1^-1 (x) ... (x) M_N^-1 is every outcome's shared inverse
         in ``_recovery_fidelities``: 16 * 4^N bytes, 1 MiB at N = 8.
 
-        Built from ``_inverse_blocks``, so only once a caller's invertibility
-        check has passed.
+        Built from ``_inverse_step_blocks``, so only once a caller's
+        invertibility check has passed.  The M_i^-1 are copied C-ordered, so
+        W^T is Fortran-ordered at N = 1 too.
         """
-        return _read_only(reduce(np.kron, self._inverse_blocks[:, 0]).T)
+        inverses = _copy_as(self._inverse_step_blocks[:, 0, :, :, 0], (0, 2, 1))
+        return _read_only(reduce(np.kron, inverses).T)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -163,7 +157,7 @@ def _copy_as(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 def _contract_pair(
     blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """Apply k stacked 2x2 blocks to the leading input qubit of ``t``.
+    """Apply the k blocks B_k[b, a] at ``blocks[a, k, b]`` to the leading input qubit of ``t``.
 
     ``t`` is (m, rows, q): for each of ``rows`` results of the pairs before,
     the amplitudes over m basis states of the input qubits still to measure,
@@ -178,14 +172,14 @@ def _contract_pair(
     BLAS: threaded OpenBLAS calls of these shapes were measured to stall for
     about 8 ms each on a 2-CPU machine.
     """
-    k = len(blocks)
+    k = blocks.shape[1]
     m, rows, q = t.shape
     m //= 2
     size = k * t.size
     t = t.reshape(2, -1)
     product = buf[:size].reshape(k, 2, -1)
-    np.multiply(blocks[:, :, :1], t[0], out=product)
-    product += blocks[:, :, 1:] * t[1]
+    np.multiply(blocks[0][..., None], t[0], out=product)
+    product += blocks[1][..., None] * t[1]
     moved = out[:size].reshape(m, rows, k, q, 2)
     moved[...] = product.reshape(k, 2, m, rows, q).transpose(2, 3, 0, 4, 1)
     return moved.reshape(m, rows * k, 2 * q)
@@ -195,8 +189,8 @@ def _apply_blocks(blocks: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     """``out[m', k, b] = B_k[b, 0] t[0, m'] + B_k[b, 1] t[1, m']`` for a pair's blocks B_k.
 
     The sampler's step.  ``t`` holds 2^n amplitudes whose leading qubit is
-    this pair's input qubit, ``blocks`` is the pair's entry of
-    ``_draw_blocks``, B_k[b, a] at [a, 0, k, b], and ``out`` is
+    this pair's input qubit, ``blocks`` is the pair's entry of the
+    instance's ``_blocks``, B_k[b, a] at [a, 0, k, b], and ``out`` is
     (2^(n-1), 4, 2), so each child's receiver qubit follows the qubits
     still to measure.  One multiply forms the products for both values a of
     the input qubit, input-major as [a, m', k, b]: 8 * 2^n amplitudes, freed
@@ -409,14 +403,14 @@ def _outcome_chunks(
     ``pairs``.  The caller checks ``ENUMERATION_CAP``.
     """
     n = inst.num_qubits
-    stacks = inst._blocks
+    stacks = inst._blocks[:, :, 0]
     x = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
     size = _chunk_rows(n, pairs) << n
     buf = np.empty(size, dtype=np.complex128)
     out = np.empty(size if table is None else size // 4, dtype=np.complex128)
     for rows, prefix in _chunks(n, pairs):
         # The leading pairs contribute only the block for the chunk's result.
-        blocks = [s[r : r + 1] for s, r in zip(stacks, prefix)] + list(stacks[len(prefix) :])
+        blocks = [s[:, r : r + 1] for s, r in zip(stacks, prefix)] + list(stacks[len(prefix) :])
         t = x
         for b in blocks[:-1]:
             t = _contract_pair(b, t, buf, out)
@@ -670,7 +664,7 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     children = np.empty((1 << (n - 1), 4, 2), dtype=np.complex128)
     flat = children.view(np.float64)
     outcome = []
-    for blocks in inst._draw_blocks:
+    for blocks in inst._blocks:
         _apply_blocks(blocks, state, children)
         r, u = _inverse_cdf_step(np.einsum("ikj,ikj->k", flat, flat).tolist(), u)
         state.reshape(-1, 2)[...] = children[:, r]

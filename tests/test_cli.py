@@ -439,8 +439,8 @@ class TestVerify:
         channel = write_channel(tmp_path / "c.json", pairs)
         args = ["verify", "--state", state, "--channel", channel]
         if tol_at_det:
-            # Invertible means |det| > tol: at equality the outcome table and
-            # channel_criterion must both fail the pair.
+            # Invertible means |det| > tol: at equality the outcome table must
+            # fail the pair and the SKIP line name it.
             det = abs(pair_determinant(cli.load_channel(Path(channel)).pairs[0]))
             args += ["--tol-inv", repr(det)]
         code = cli.main(args)

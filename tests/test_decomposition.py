@@ -23,7 +23,8 @@ from belldecomp import (
     sub_matrix,
     validate_outcome,
 )
-from belldecomp.decomposition import pair_blocks
+from belldecomp.channel import pair_determinant
+from belldecomp.decomposition import SIGMA, inverse_pair_blocks, pair_blocks
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -243,6 +244,20 @@ class TestInverseSubMatrix:
         det = y1 * y4 - y2 * y3
         expected = np.array([[y4, -y2], [-y3, y1]]) / det
         assert np.array_equal(inverse_sub_matrix(p, 1, BHF), expected)
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_inverse_blocks_are_the_adjugate_over_the_pair_determinant(self, conv):
+        """Bit for bit: sigma_r^-1 times adj(M) / ``pair_determinant``.  The pair
+        determinant is a*d - b*c of M under either convention, to the bit."""
+        rng = np.random.default_rng(40)
+        for _ in range(500):
+            p = random_pair(rng)
+            (a, b), (c, d) = pair_blocks(p, conv)[0]
+            det = pair_determinant(p)
+            assert det == a * d - b * c
+            m_inv = np.array([[d, -b], [-c, a]]) / det
+            expected = SIGMA.transpose(0, 2, 1) @ m_inv
+            assert inverse_pair_blocks(p, conv).tobytes() == expected.tobytes()
 
     def test_mes_inverses_are_scaled_paulis(self):
         s2 = np.sqrt(2)

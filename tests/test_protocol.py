@@ -889,7 +889,7 @@ class TestOneOutcomeIsTheTableArithmetic:
         for i, p in enumerate(inst.channel.pairs):
             stack = pair_blocks(p, conv)
             t = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-            _apply_blocks(inst._draw_blocks[i], t, children)
+            _apply_blocks(inst._blocks[i], t, children)
             t0, t1 = t.reshape(2, -1)
             for k, b in enumerate(stack):
                 for j in (0, 1):
@@ -953,26 +953,33 @@ class TestInstanceCaches:
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     def test_stacks_are_the_per_pair_blocks(self, conv):
+        """Pair i's entry of each kept stack, read back as [r - 1, b, a], is its
+        ``pair_blocks`` or ``inverse_pair_blocks``."""
         inst = random_instance(8, np.random.default_rng(200), conv)
         for i, p in enumerate(inst.channel.pairs):
-            assert inst._blocks[i].tobytes() == pair_blocks(p, conv).tobytes()
-            assert inst._inverse_blocks[i].tobytes() == inverse_pair_blocks(p, conv).tobytes()
+            blocks, inverses = pair_blocks(p, conv), inverse_pair_blocks(p, conv)
+            assert inst._blocks[i, :, 0].transpose(1, 2, 0).tobytes() == blocks.tobytes()
+            assert inst._step_blocks[i, ..., 0].transpose(0, 2, 1).tobytes() == blocks.tobytes()
+            step = inst._inverse_step_blocks[i, ..., 0].transpose(0, 2, 1)
+            assert step.tobytes() == inverses.tobytes()
             # sigma_1 = I, so the first inverse block is M^-1 itself.
             m_inv = _inverse_coefficient_matrix(p, conv, 0.0)
-            assert inst._inverse_blocks[i, 0].tobytes() == m_inv.tobytes()
+            assert step[0].tobytes() == m_inv.tobytes()
             assert inst._determinants[i] == pair_determinant(p)
-        for stack in (inst._blocks, inst._inverse_blocks, inst._inverse_blocks[:, 0]):
+        for stack in (inst._blocks, inst._step_blocks, inst._inverse_step_blocks):
             assert not stack.flags.writeable
         assert inst._blocks is inst._blocks
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     def test_step_layouts_are_copies_of_the_stacks(self, conv):
-        """The single-outcome steps read the stacks transposed, input index first."""
+        """Each kernel reads its stack input index first, as a C-ordered copy."""
         inst = random_instance(4, np.random.default_rng(205), conv)
+        blocks = np.stack([pair_blocks(p, conv) for p in inst.channel.pairs])
+        inverses = np.stack([inverse_pair_blocks(p, conv) for p in inst.channel.pairs])
         layouts = [
-            (inst._step_blocks, inst._blocks.transpose(0, 1, 3, 2)[..., None]),
-            (inst._inverse_step_blocks, inst._inverse_blocks.transpose(0, 1, 3, 2)[..., None]),
-            (inst._draw_blocks, inst._blocks.transpose(0, 3, 1, 2)[:, :, None]),
+            (inst._blocks, blocks.transpose(0, 3, 1, 2)[:, :, None]),
+            (inst._step_blocks, blocks.transpose(0, 1, 3, 2)[..., None]),
+            (inst._inverse_step_blocks, inverses.transpose(0, 1, 3, 2)[..., None]),
         ]
         for layout, expected in layouts:
             assert layout.shape == expected.shape
@@ -1024,11 +1031,37 @@ class TestRecoveryCaches:
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_recovery_matrix_is_the_kron_of_the_inverses(self, n, conv):
+        """W^T is the transpose of the C-ordered M_1^-1 (x) ... (x) M_N^-1, so the
+        matrix product reads it in Fortran order."""
         inst = random_instance(n, np.random.default_rng(270 + n), conv)
         w_t = inst._recovery_matrix
-        assert w_t.tobytes() == reduce(np.kron, inst._inverse_blocks[:, 0]).T.tobytes()
+        w = reduce(np.kron, [inverse_pair_blocks(p, conv)[0] for p in inst.channel.pairs])
+        assert w_t.tobytes() == w.T.tobytes()
+        assert w_t.flags.f_contiguous
         assert w_t is inst._recovery_matrix
         assert not w_t.flags.writeable
+
+    def test_the_instance_keeps_five_read_only_values(self):
+        """After every kind of call, the instance holds its three fields and five cached
+        values, no other, and none of them may be written through."""
+        inst = random_instance(3, np.random.default_rng(275), BHS)
+        enumerate_outcomes(inst)
+        w_t = inst._recovery_matrix
+        before = w_t.tobytes()
+        out = sample_outcome(inst, 0)
+        recover(collapsed_state(inst, out), inst, out)
+        fields = {f.name for f in dataclasses.fields(inst)}
+        cached = {
+            "_blocks", "_step_blocks", "_determinants", "_inverse_step_blocks",
+            "_recovery_matrix",
+        }
+        assert set(vars(inst)) == fields | cached
+        assert isinstance(inst._determinants, tuple)
+        for name in cached - {"_determinants"}:
+            assert not getattr(inst, name).flags.writeable, name
+        assert inst._recovery_matrix is w_t
+        assert w_t.tobytes() == before
+        assert w_t.flags.f_contiguous
 
     def test_gather_is_read_only_and_shared_per_qubit_count(self):
         _frame_gather.cache_clear()
