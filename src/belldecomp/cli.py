@@ -378,14 +378,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliInputError(f"theta range {args.theta_start} to {args.theta_stop} is not finite")
     labels = ["".join(out) for out in itertools.product("1234", repeat=n)]
 
+    def smallest_sv(p: EntangledPair) -> float:
+        return np.linalg.svd(p.amplitude_matrix(), compute_uv=False)[-1]
+
+    # The pairs other than the varied one are the same at every grid point.
+    fixed = channel.pairs[: args.pair - 1] + channel.pairs[args.pair :]
+    fixed_det = min((abs(pair_determinant(p)) for p in fixed), default=math.inf)
+    fixed_sv = min(map(smallest_sv, fixed), default=math.inf)
+
     def rows(theta: float):
         """One grid point's probabilities, computed now; its CSV rows, formatted as read."""
         varied = EntangledPair(np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)]))
         pairs = list(channel.pairs)
         pairs[args.pair - 1] = varied
         inst = TeleportationInstance(state, Channel(tuple(pairs)), convention)
-        abs_det_min = min(abs(pair_determinant(p)) for p in pairs)
-        min_sv = min(np.linalg.svd(p.amplitude_matrix(), compute_uv=False)[-1] for p in pairs)
+        abs_det_min = min(fixed_det, abs(pair_determinant(varied)))
+        min_sv = min(fixed_sv, smallest_sv(varied))
         probs = enumerate_outcomes(inst, compute_recovery=False).probabilities.tolist()
         t, d, sv = f"{theta:.17g}", f"{abs_det_min:.17g}", f"{min_sv:.17g}"
         return ((t, label, f"{p:.17g}", d, sv) for label, p in zip(labels, probs))

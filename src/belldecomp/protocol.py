@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -25,6 +25,7 @@ from .decomposition import (
     BellOutcome,
     NotInvertibleError,
     PairingConvention,
+    _coefficient_matrix,
     _invertible,
     inverse_pair_blocks,
     is_proportional_to_unitary,
@@ -73,13 +74,15 @@ class TeleportationInstance:
     The blocks, determinants, inverse blocks and the recovery pass's W^T
     depend on the channel and the convention alone, so each is built on its
     first use and kept, as a read-only array or a tuple.  Each kernel reads
-    one block stack, kept in its own layout, input index first, 256 * N
-    bytes each: ``_blocks`` for the table passes and the sampler,
-    ``_step_blocks`` and ``_inverse_step_blocks`` for ``collapsed_state``
-    and ``recover``.  Every value they are built from is immutable: the
-    fields are frozen and pair coefficients are read-only.  Determinants
-    are kept, never a verdict: each caller compares them with its own
-    tolerance.  Nothing that depends on the input state is kept.
+    one stack, kept in its own layout, input index first: ``_coefficients``,
+    every pair's M in 64 * N bytes, for the table passes and
+    ``collapsed_state``, which apply B_r = M sigma_r as M times the halves of
+    their input kept, negated or swapped; ``_blocks`` for the sampler and
+    ``_inverse_step_blocks`` for ``recover``, 256 * N bytes each.  Every
+    value they are built from is immutable: the fields are frozen and pair
+    coefficients are read-only.  Determinants are kept, never a verdict:
+    each caller compares them with its own tolerance.  Nothing that depends
+    on the input state is kept.
     """
 
     input_state: StateVector
@@ -104,17 +107,17 @@ class TeleportationInstance:
 
     @cached_property
     def _blocks(self) -> np.ndarray:
-        """Every pair's ``pair_blocks`` input index first: (N, 2, 1, 4, 2), with
-        B_k[b, a] at [i, a, 0, k, b].  ``_contract_pair`` reads [i, :, 0] and
-        ``_apply_blocks`` reads [i]."""
+        """Every pair's ``pair_blocks`` input index first, as ``_apply_blocks`` reads
+        them: (N, 2, 1, 4, 2), with B_k[b, a] at [i, a, 0, k, b]."""
         stacks = np.stack([pair_blocks(p, self.convention) for p in self.channel.pairs])
         return _copy_as(stacks, (0, 3, 1, 2))[:, :, None]
 
     @cached_property
-    def _step_blocks(self) -> np.ndarray:
-        """The blocks as ``_contract_outcome`` reads them: (N, 4, 2, 2, 1), with
-        B_r[b, a] at [i, r - 1, a, b, 0]."""
-        return _copy_as(self._blocks[:, :, 0], (0, 2, 1, 3))[..., None]
+    def _coefficients(self) -> np.ndarray:
+        """Every pair's coefficient matrix M by columns, as ``_contract_pair`` and
+        ``_contract_outcome`` read it: (N, 2, 2, 1), with M[b, a] at [i, a, b, 0]."""
+        stacks = np.stack([_coefficient_matrix(p, self.convention) for p in self.channel.pairs])
+        return _copy_as(stacks, (0, 2, 1))[..., None]
 
     @cached_property
     def _determinants(self) -> tuple[complex, ...]:
@@ -122,7 +125,8 @@ class TeleportationInstance:
 
     @cached_property
     def _inverse_step_blocks(self) -> np.ndarray:
-        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, laid out as ``_step_blocks``.
+        """Every pair's ``inverse_pair_blocks``, sigma_r^-1 M^-1, as ``recover`` reads them:
+        (N, 4, 2, 2, 1), with (sigma_r^-1 M^-1)[b, a] at [i, r - 1, a, b, 0].
 
         Entry [:, 0] is every pair's M^-1 transposed, since sigma_1 = I.
         Callers first check every determinant with ``_invertible`` at their
@@ -154,35 +158,52 @@ def _copy_as(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return _read_only(np.ascontiguousarray(a.transpose(axes)))
 
 
-def _contract_pair(
-    blocks: np.ndarray, t: np.ndarray, buf: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Apply the k blocks B_k[b, a] at ``blocks[a, k, b]`` to the leading input qubit of ``t``.
+def _result_step(columns: np.ndarray, r: int) -> tuple[np.ndarray, np.ufunc]:
+    """The factors and the combining ufunc that apply B_r = M sigma_r for result r.
 
+    ``columns`` holds M by columns, M[b, a] at [a, b, 0].  sigma_r t keeps,
+    negates or swaps the two halves t0, t1 of t, so B_r t is M's columns,
+    reversed for r = 3, 4, times t's halves, added for r = 1, 3 and
+    subtracted for r = 2, 4: M0 t0 + M1 t1, M0 t0 - M1 t1, M1 t0 + M0 t1 and
+    M1 t0 - M0 t1.  The columns are the first factors, as B_r's are in
+    ``_apply_blocks``: numpy's complex multiply is not bit for bit
+    symmetric in its operands.
+    """
+    return (columns if r < 3 else columns[::-1]), (np.add if r % 2 else np.subtract)
+
+
+def _contract_pair(columns: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Apply the four blocks B_r = M sigma_r to the leading input qubit of ``t``.
+
+    ``columns`` is the pair's entry of the instance's ``_coefficients``.
     ``t`` is (m, rows, q): for each of ``rows`` results of the pairs before,
     the amplitudes over m basis states of the input qubits still to measure,
     this pair's qubit leading, and q of the receiver qubits so far.  The
-    result is a view of ``out`` shaped (m / 2, rows * k, 2 * q): this pair's
+    result is a view of ``out`` shaped (m / 2, rows * 4, 2 * q): this pair's
     result follows the earlier results and its receiver qubit follows the
     earlier qubits, so the next pair's input qubit leads and, after the last
-    pair, the rows are outcome rows in lexicographic order.  The table
-    passes use it; the sampler uses ``_apply_blocks`` and single outcomes
-    ``_contract_outcome``, whose arithmetic is the same.  ``buf`` holds the
-    (k, 2, ...) product on the way.  Elementwise products keep this off
-    BLAS: threaded OpenBLAS calls of these shapes were measured to stall for
-    about 8 ms each on a 2-CPU machine.
+    pair, the rows are outcome rows in lexicographic order.  One multiply
+    forms M0 t0 and M1 t1 and one M1 t0 and M0 t1, 8 complex products per 8
+    outputs, in one product array of half the output, and
+    ``_result_step``'s add or subtract writes each result's amplitudes
+    straight into its place in ``out``, which must not hold ``t``.  Single
+    outcomes take the same steps in ``_contract_outcome``.  Elementwise
+    products keep this off BLAS: threaded OpenBLAS calls of these shapes
+    were measured to stall for about 8 ms each on a 2-CPU machine.
     """
-    k = blocks.shape[1]
     m, rows, q = t.shape
     m //= 2
-    size = k * t.size
-    t = t.reshape(2, -1)
-    product = buf[:size].reshape(k, 2, -1)
-    np.multiply(blocks[0][..., None], t[0], out=product)
-    product += blocks[1][..., None] * t[1]
-    moved = out[:size].reshape(m, rows, k, q, 2)
-    moved[...] = product.reshape(k, 2, m, rows, q).transpose(2, 3, 0, 4, 1)
-    return moved.reshape(m, rows * k, 2 * q)
+    t = t.reshape(2, 1, -1)
+    pair = np.empty((2, 2, t.size // 2), dtype=np.complex128)
+    p0, p1 = pair.reshape(2, 2, m, rows, q)
+    moved = out[: 4 * t.size].reshape(m, rows, 4, q, 2)
+    for r in (1, 2, 3, 4):
+        factors, combine = _result_step(columns, r)
+        # Results 1 and 2 share their products, as do 3 and 4.
+        if r % 2:
+            np.multiply(factors, t, out=pair)
+        combine(p0, p1, out=moved[:, :, r - 1].transpose(3, 0, 1, 2))
+    return moved.reshape(m, rows * 4, 2 * q)
 
 
 def _apply_blocks(blocks: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
@@ -195,34 +216,40 @@ def _apply_blocks(blocks: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     still to measure.  One multiply forms the products for both values a of
     the input qubit, input-major as [a, m', k, b]: 8 * 2^n amplitudes, freed
     after the step.  One add sums the a = 0 and a = 1 products into
-    ``out``.  These are the multiplies and the add of ``_contract_pair``
-    element for element.  The block must be the first factor: numpy's
-    complex multiply is not bit for bit symmetric in its operands.
+    ``out``.  B_k's entries are +-M's, so these are the table's products and
+    sums up to the signs of exact zeros, and the children's squared norms
+    are those of the table's rows.  The block must be the first factor:
+    numpy's complex multiply is not bit for bit symmetric in its operands.
     """
     product = np.multiply(blocks, t.reshape(2, -1, 1, 1))
     np.add(product[0], product[1], out=out)
 
 
-def _contract_outcome(stacks: np.ndarray, outcome: BellOutcome, t: np.ndarray) -> np.ndarray:
-    """Each pair's block for its result in ``outcome``, applied to the amplitudes ``t``.
+def _contract_outcome(
+    steps: Iterable[tuple[np.ndarray, np.ufunc]], t: np.ndarray
+) -> np.ndarray:
+    """Each pair's step, factors and combining ufunc, applied in turn to the amplitudes ``t``.
 
-    ``stacks`` is ``_step_blocks`` or ``_inverse_step_blocks``.  Pair i's
-    step writes ``out[m', b] = B[b, 0] t[0, m'] + B[b, 1] t[1, m']`` for its
-    block B, so its receiver qubit moves behind the rest and, after the last
-    pair, the returned flat 2^N amplitudes are in order.  One multiply forms
-    the products for both values a of the leading input qubit as [a, b, m'],
-    the 2^(n-1) remaining amplitudes m' innermost, and one add sums them into
-    ``out`` through its transpose.  That is the arithmetic of
-    ``_apply_blocks``, block first, with the long axis in the inner loop.
-    The steps share one product buffer of 2^(N+1) amplitudes: a new product
-    per step, 32 MiB at N = 20, took up to twice as long there.
+    ``collapsed_state`` gives ``_result_step``'s M columns and add or
+    subtract for each result, ``recover`` the inverse block from
+    ``_inverse_step_blocks`` and an add.  Pair i's step writes
+    ``out[m', b] = combine(F[0, b] t[0, m'], F[1, b] t[1, m'])`` for its
+    factors F, so its receiver qubit moves behind the rest and, after the
+    last pair, the returned flat 2^N amplitudes are in order.  One multiply
+    forms the products for both values a of the leading input qubit as
+    [a, b, m'], the 2^(n-1) remaining amplitudes m' innermost, and one add or
+    subtract combines them into ``out`` through its transpose.  That is the
+    arithmetic of ``_contract_pair`` with one row, factors first, so a
+    collapsed state is its table row byte for byte.  The steps share one
+    product buffer of 2^(N+1) amplitudes: a new product per step, 32 MiB at
+    N = 20, took up to twice as long there.
     """
     m = t.size // 2
     product = np.empty((2, 2, m), dtype=np.complex128)
-    for s, r in zip(stacks, outcome):
-        np.multiply(s[r - 1], t.reshape(2, 1, m), out=product)
+    for factors, combine in steps:
+        np.multiply(factors, t.reshape(2, 1, m), out=product)
         t = np.empty((m, 2), dtype=np.complex128)
-        np.add(product[0], product[1], out=t.T)
+        combine(product[0], product[1], out=t.T)
     return t.reshape(-1)
 
 
@@ -235,7 +262,8 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
-    amps = _contract_outcome(inst._step_blocks, out, inst.input_state.amps * math.sqrt(0.5) ** n)
+    steps = map(_result_step, inst._coefficients, out)
+    amps = _contract_outcome(steps, inst.input_state.amps * math.sqrt(0.5) ** n)
     return StateVector(n, _read_only(amps))
 
 
@@ -275,7 +303,8 @@ def recover(
             "recovery transform does not exist",
             pair_indices=bad,
         )
-    amps = _contract_outcome(inst._inverse_step_blocks, out, collapsed.amps)
+    steps = ((s[r - 1], np.add) for s, r in zip(inst._inverse_step_blocks, out))
+    amps = _contract_outcome(steps, collapsed.amps)
     # Checked before the division, which would turn an infinite amplitude into NaN.
     _check_finite(amps)
     recovered = StateVector(n, _unit(amps))
@@ -393,29 +422,40 @@ def _outcome_chunks(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Each chunk's rows of the outcome table and its unnormalized collapsed states.
 
-    Each chunk of rows, of the last min(N - 1, ``pairs``) pairs, is
-    contracted one pair at a time: ``_contract_pair`` forms each product in a
-    chunk-sized buffer and moves it into a second one.  The last pair writes
-    the chunk into ``table[rows]`` when a table is given, so the second
-    buffer then holds at most the step before it, a quarter of a chunk.
-    Otherwise the last pair writes into the second, chunk-sized, buffer,
-    which the next chunk overwrites.  The rows are the same bits under any
-    ``pairs``.  The caller checks ``ENUMERATION_CAP``.
+    The lead pairs, whose results the chunks fix, are contracted first, for
+    all their results at once, and each chunk starts from its row of that:
+    4^(N - t) * 2^N amplitudes for the t = min(N - 1, ``pairs``) pairs a
+    chunk covers, at most a chunk up to ``ENUMERATION_CAP``.  Each chunk's t
+    pairs are then contracted one pair at a time by ``_contract_pair``.
+    Each step reads the state from one buffer and writes the next into the
+    other: the step before the last writes a quarter of a chunk and the one
+    before it a sixteenth.  Each step's products take half its output, half
+    a chunk in the last step, so a chunk's scratch is at most 13/16 of a
+    chunk.  The last pair writes the chunk into ``table[rows]`` when a table
+    is given, and otherwise into a chunk-sized buffer, which the next chunk
+    overwrites.  The rows are the same bits under any ``pairs``.  The caller
+    checks ``ENUMERATION_CAP``.
     """
     n = inst.num_qubits
-    stacks = inst._blocks[:, :, 0]
-    x = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
+    lead = n - min(n - 1, pairs)
+    t = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
+    for i, columns in enumerate(inst._coefficients[:lead]):
+        # At N = 1 the lead pair is the last, and its rows are the table.
+        last = i == n - 1 and table is not None
+        dest = table.reshape(-1) if last else np.empty(4 * t.size, dtype=np.complex128)
+        t = _contract_pair(columns, t, dest)
     size = _chunk_rows(n, pairs) << n
-    buf = np.empty(size, dtype=np.complex128)
-    out = np.empty(size if table is None else size // 4, dtype=np.complex128)
-    for rows, prefix in _chunks(n, pairs):
-        # The leading pairs contribute only the block for the chunk's result.
-        blocks = [s[:, r : r + 1] for s, r in zip(stacks, prefix)] + list(stacks[len(prefix) :])
-        t = x
-        for b in blocks[:-1]:
-            t = _contract_pair(b, t, buf, out)
-        dest = out if table is None else table[rows].reshape(-1)
-        yield rows, _contract_pair(blocks[-1], t, buf, dest)[0]
+    states = np.empty(size // 4, dtype=np.complex128), np.empty(size // 16, dtype=np.complex128)
+    out = np.empty(size, dtype=np.complex128) if table is None else None
+    for c, (rows, _) in enumerate(_chunks(n, pairs)):
+        chunk = t[:, c : c + 1]
+        for i, columns in enumerate(inst._coefficients[lead:], start=lead):
+            if i < n - 1:
+                dest = states[(n - 2 - i) % 2]
+            else:
+                dest = out if table is None else table[rows].reshape(-1)
+            chunk = _contract_pair(columns, chunk, dest)
+        yield rows, chunk[0]
 
 
 def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:

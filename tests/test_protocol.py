@@ -11,6 +11,8 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from belldecomp import (
     Channel,
@@ -37,12 +39,15 @@ from belldecomp import (
 from belldecomp.channel import NORM_WARN_TOL, pair_determinant
 from belldecomp.decomposition import (
     SIGMA,
+    _coefficient_matrix,
     _inverse_coefficient_matrix,
     inverse_pair_blocks,
     pair_blocks,
 )
 from belldecomp.protocol import (
     ENUMERATION_CAP,
+    _CHECK_PAIRS,
+    _TABLE_PAIRS,
     _apply_blocks,
     _chunk_frames,
     _frame_gather,
@@ -835,11 +840,99 @@ def table_probabilities(inst: TeleportationInstance) -> np.ndarray:
     return np.concatenate(probs)
 
 
+OUTCOMES = {n: list(itertools.product((1, 2, 3, 4), repeat=n)) for n in range(1, 7)}
+
+
+def assert_rows_are_collapsed_states(inst: TeleportationInstance) -> np.ndarray:
+    """Every row of ``_outcome_table``, and of ``_outcome_chunks`` under both chunk
+    plans, is ``collapsed_state`` of its outcome byte for byte; the table is returned."""
+    n = inst.num_qubits
+    states = [collapsed_state(inst, out).amps.tobytes() for out in OUTCOMES[n]]
+    table, _ = _outcome_table(inst)
+    for k, row in enumerate(table):
+        assert row.tobytes() == states[k], outcome_at(k, n)
+    for pairs in (_CHECK_PAIRS, _TABLE_PAIRS):
+        for rows, predicted in _outcome_chunks(inst, pairs=pairs):
+            for k, row in zip(range(rows.start, rows.stop), predicted):
+                assert row.tobytes() == states[k], (pairs, outcome_at(k, n))
+    return table
+
+
+# Pairs whose blocks have exact zero parts of both signs: (1, 0, 0, -i) holds -1j,
+# which is complex(-0.0, -1.0), and the last has a -0.0 in each of its four.
+ZERO_HEAVY_PAIRS = [
+    np.array([1, 0, 0, 1]) / math.sqrt(2),
+    np.array([1, 0, 0, -1j]) / math.sqrt(2),
+    np.array([0.8, 0, 0, 0.6]),
+    np.array([0.5, 0.5, 0.5, -0.5]),
+    np.array([complex(0.6, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.8)]),
+]
+
+
+def zero_heavy_inputs(n: int) -> list[np.ndarray]:
+    """|0...0>, -i|1...1> and the uniform state on n qubits."""
+    first, last = np.zeros((2, 1 << n), dtype=complex)
+    first[0], last[-1] = 1.0, -1j
+    return [first, last, np.full(1 << n, math.sqrt(0.5) ** n, dtype=complex)]
+
+
+# A part of a zero-heavy pair or input: an exact zero of either sign, +-1/sqrt2 or
+# any float in [-1, 1].
+ZERO_HEAVY_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.sqrt(0.5), -math.sqrt(0.5)]),
+    st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@st.composite
+def zero_heavy_instances(draw) -> TeleportationInstance:
+    """N <= 5; each pair and the input built from ``ZERO_HEAVY_PARTS``, then divided by
+    their norm part by part, which keeps each zero's sign."""
+    n = draw(st.integers(min_value=1, max_value=5))
+
+    def unit(size: int) -> np.ndarray:
+        parts = np.array(draw(st.lists(ZERO_HEAVY_PARTS, min_size=2 * size, max_size=2 * size)))
+        norm = math.sqrt(parts @ parts)
+        assume(norm > 1e-6)
+        return (parts / norm).view(complex)
+
+    pairs = tuple(EntangledPair(unit(4)) for _ in range(n))
+    conv = draw(st.sampled_from([BHF, BHS]))
+    return TeleportationInstance(StateVector(n, unit(1 << n)), Channel(pairs), conv)
+
+
 class TestOneOutcomeIsTheTableArithmetic:
-    """``collapsed_state``, ``recover`` and the sampler apply one outcome's blocks with a
-    step of their own, not the table kernel.  It must do the table's arithmetic bit for
-    bit: numpy's complex multiply is not bit for bit symmetric in its operands, and a
-    length-1 shape at n = 1 may take another loop."""
+    """``collapsed_state`` applies each pair's coefficient matrix M with the table
+    kernel's own steps, M's columns times the halves of its input, then an add or a
+    subtract, and must give each table row bit for bit, the signs of exact zeros
+    included: numpy's complex multiply is not bit for bit symmetric in its operands,
+    and a length-1 shape at n = 1 may take another loop.  ``recover`` applies the
+    inverse blocks with the same step, and the sampler the blocks B_r = M sigma_r,
+    whose products are the table's up to the signs of exact zeros."""
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_heavy_rows_are_the_collapsed_states(self, n, conv):
+        """Every input of ``zero_heavy_inputs`` through each pair of
+        ``ZERO_HEAVY_PAIRS`` repeated, and through all five in turn."""
+        channels = [[p] * n for p in ZERO_HEAVY_PAIRS]
+        channels.append([ZERO_HEAVY_PAIRS[i % 5] for i in range(n)])
+        for x in zero_heavy_inputs(n):
+            for pairs in channels:
+                channel = Channel(tuple(map(EntangledPair, pairs)))
+                assert_rows_are_collapsed_states(TeleportationInstance(StateVector(n, x), channel, conv))
+
+    @settings(max_examples=40, deadline=None)
+    @given(zero_heavy_instances())
+    def test_rows_are_the_collapsed_states_and_the_dense_product(self, inst):
+        """Each row is also within 1e-12 of the outcome's decomposition matrix applied
+        to the input, over 2^(N/2)."""
+        n = inst.num_qubits
+        table = assert_rows_are_collapsed_states(inst)
+        x = inst.input_state.amps * math.sqrt(0.5) ** n
+        for out, row in zip(OUTCOMES[n], table):
+            dense = decomposition_matrix(inst.channel, out, inst.convention) @ x
+            assert np.abs(row - dense).max() <= 1e-12, out
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -927,10 +1020,26 @@ class TestChunkPlans:
         assert covered == 4**n
 
     @pytest.mark.parametrize("n", [6, 7])
+    def test_table_build_scratch_is_at_most_one_chunk(self, n):
+        """Beyond the 16 * 8^N-byte table and its 8 * 4^N bytes of probabilities,
+        ``_outcome_table`` allocates at most one 4^5-row chunk, 16 * 4^5 * 2^N bytes:
+        half a chunk of products and two state buffers, a quarter and a sixteenth of
+        a chunk.  numpy reports its allocations to tracemalloc."""
+        inst = random_instance(n, np.random.default_rng(245 + n), BHS)
+        _outcome_table(inst)
+        tracemalloc.start()
+        try:
+            _outcome_table(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8**n + 8 * 4**n + (16 * 4**5 << n)
+
+    @pytest.mark.parametrize("n", [6, 7])
     def test_table_scratch_is_at_most_three_chunks(self, n):
         """Beyond the 16 * 8^N-byte table, ``enumerate_outcomes`` holds at most three
         buffers of one 4^5-row chunk (16 * 4^5 * 2^N bytes) at a time, its probabilities
-        and fidelities included.  The build holds a chunk and a quarter; the recovery
+        and fidelities included.  The build holds 13/16 of a chunk; the recovery
         pass holds a chunk for the product with W and one for the frames; their
         gather index, half a chunk, is kept per N from the first call.  numpy reports
         its allocations to tracemalloc, so the peak bounds what the table path
@@ -953,39 +1062,44 @@ class TestInstanceCaches:
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     def test_stacks_are_the_per_pair_blocks(self, conv):
-        """Pair i's entry of each kept stack, read back as [r - 1, b, a], is its
-        ``pair_blocks`` or ``inverse_pair_blocks``."""
+        """Pair i's entry of each kept block stack, read back as [r - 1, b, a], is its
+        ``pair_blocks`` or ``inverse_pair_blocks``, and its entry of the coefficient
+        stack, read back as [b, a], its coefficient matrix M, the block for r = 1."""
         inst = random_instance(8, np.random.default_rng(200), conv)
         for i, p in enumerate(inst.channel.pairs):
             blocks, inverses = pair_blocks(p, conv), inverse_pair_blocks(p, conv)
             assert inst._blocks[i, :, 0].transpose(1, 2, 0).tobytes() == blocks.tobytes()
-            assert inst._step_blocks[i, ..., 0].transpose(0, 2, 1).tobytes() == blocks.tobytes()
+            m = inst._coefficients[i, ..., 0].T
+            assert m.tobytes() == _coefficient_matrix(p, conv).tobytes() == blocks[0].tobytes()
             step = inst._inverse_step_blocks[i, ..., 0].transpose(0, 2, 1)
             assert step.tobytes() == inverses.tobytes()
             # sigma_1 = I, so the first inverse block is M^-1 itself.
             m_inv = _inverse_coefficient_matrix(p, conv, 0.0)
             assert step[0].tobytes() == m_inv.tobytes()
             assert inst._determinants[i] == pair_determinant(p)
-        for stack in (inst._blocks, inst._step_blocks, inst._inverse_step_blocks):
+        for stack in (inst._blocks, inst._coefficients, inst._inverse_step_blocks):
             assert not stack.flags.writeable
         assert inst._blocks is inst._blocks
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     def test_step_layouts_are_copies_of_the_stacks(self, conv):
-        """Each kernel reads its stack input index first, as a C-ordered copy."""
+        """Each kernel reads its stack input index first, as a C-ordered copy: 256 * N
+        bytes for each block stack and 64 * N for the coefficient matrices."""
         inst = random_instance(4, np.random.default_rng(205), conv)
         blocks = np.stack([pair_blocks(p, conv) for p in inst.channel.pairs])
         inverses = np.stack([inverse_pair_blocks(p, conv) for p in inst.channel.pairs])
+        ms = np.stack([_coefficient_matrix(p, conv) for p in inst.channel.pairs])
         layouts = [
-            (inst._blocks, blocks.transpose(0, 3, 1, 2)[:, :, None]),
-            (inst._step_blocks, blocks.transpose(0, 1, 3, 2)[..., None]),
-            (inst._inverse_step_blocks, inverses.transpose(0, 1, 3, 2)[..., None]),
+            (inst._blocks, blocks.transpose(0, 3, 1, 2)[:, :, None], 256),
+            (inst._coefficients, ms.transpose(0, 2, 1)[..., None], 64),
+            (inst._inverse_step_blocks, inverses.transpose(0, 1, 3, 2)[..., None], 256),
         ]
-        for layout, expected in layouts:
+        for layout, expected, bytes_per_pair in layouts:
             assert layout.shape == expected.shape
             assert layout.flags.c_contiguous and not layout.flags.writeable
             assert layout.tobytes() == expected.tobytes()
-        assert inst._step_blocks is inst._step_blocks
+            assert layout.nbytes == bytes_per_pair * inst.num_qubits
+        assert inst._coefficients is inst._coefficients
 
     def test_a_second_tolerance_gets_its_own_verdict(self):
         t = 0.5 * math.asin(2e-3)  # |det| = cos t sin t = 1e-3
@@ -1052,7 +1166,7 @@ class TestRecoveryCaches:
         recover(collapsed_state(inst, out), inst, out)
         fields = {f.name for f in dataclasses.fields(inst)}
         cached = {
-            "_blocks", "_step_blocks", "_determinants", "_inverse_step_blocks",
+            "_blocks", "_coefficients", "_determinants", "_inverse_step_blocks",
             "_recovery_matrix",
         }
         assert set(vars(inst)) == fields | cached
