@@ -23,11 +23,13 @@ real (entries 0 and +-1/sqrt(2)), so a pass acts alike on the real and the
 imaginary parts: it runs on the state's interleaved (re, im) float64 view
 as real matrix products, and the imaginary parts of the bras, all zero,
 would add only exact zeros.  ``cross_check`` writes its passes into two
-quarter-size buffers in turn instead of a new array per pass.
+quarter-size buffers in turn instead of a new array per pass, and the
+magnitudes of each chunk's differences into the one its last pass left free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -216,12 +218,15 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
     never held.  The projection runs as real matrix products of the real
     Bell bras with the state's float view, and its passes alternate between
     two float buffers, each a quarter of the state, allocated once per call;
-    each chunk of predictions is subtracted from its residual rows in place.
-    Memory holds the 16 * 8^N-byte state, the two buffers, and two buffers
-    of at most 4^4 predicted rows: about 400 MB at N = 8.  ``worst_outcome``
-    is the first outcome in lexicographic order that reaches
-    ``max_abs_diff``.  ``tol`` must be a finite number >= 0, or ValueError is
-    raised before any state is built.
+    each chunk of predictions is subtracted from its residual rows in place,
+    and the chunk's magnitudes go into the buffer the quarter's last pass
+    did not write, for one flat argmax.  Memory holds the 16 * 8^N-byte
+    state, the two buffers, and the predictions' shared level and chunk
+    buffer, each at most 4^4 predicted rows: about 400 MB at N = 8.
+    ``worst_outcome`` is the first outcome in lexicographic order that
+    reaches ``max_abs_diff``, or the first whose difference is NaN.  ``tol``
+    must be a finite number >= 0, or ValueError is raised before any state
+    is built.
     """
     return _cross_check(inst, None, tol)
 
@@ -236,21 +241,30 @@ def _cross_check(
         rs = _measurement_state(inst)
     n = inst.num_qubits
     quarter = 4 ** (n - 1)
-    row_diff = np.empty(4**n)
     buffers = (np.empty(rs.size // 2), np.empty(rs.size // 2))  # a quarter of rs, in floats
+    max_diff, worst = -1.0, 0
     for rows, predicted in _outcome_chunks(inst):
         r, start = divmod(rows.start, quarter)
         if start == 0:
             residuals = _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1), buffers)
+            # The last pass wrote into buffers[(n - 1) % 2]; the other is free until
+            # the next quarter's projection and takes each chunk's magnitudes.
+            spare = buffers[n % 2]
         diff = residuals[start : start + len(predicted)]
         diff -= predicted
-        np.abs(diff).max(axis=1, out=row_diff[rows])
-    worst = int(np.argmax(row_diff))
-    max_diff = float(row_diff[worst])
+        magnitudes = np.abs(diff, out=spare[: diff.size].reshape(diff.shape))
+        # Row-major argmax names the first row that reaches the chunk's largest
+        # difference, or its first NaN; a later chunk must be strictly larger.
+        k = int(np.argmax(magnitudes))
+        value = float(magnitudes.flat[k])
+        if value > max_diff or math.isnan(value):
+            max_diff, worst = value, rows.start + k // diff.shape[1]
+            if math.isnan(value):
+                break  # the first NaN is reported, as argmax over every row would
     return CrossCheckReport(
         num_qubits=n,
         convention=inst.convention,
-        num_outcomes=len(row_diff),
+        num_outcomes=4**n,
         max_abs_diff=max_diff,
         worst_outcome=tuple(int(d) + 1 for d in np.unravel_index(worst, (4,) * n)),
         tolerance=tol,
@@ -284,5 +298,6 @@ def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
         part = slice(c, c + _RECONSTRUCTION_COLUMNS)
         rebuilt = _project(table.collapsed[:, part] * scale, [kets] * n, buffers)
         rebuilt -= state[:, part]
-        diff = max(diff, float(np.abs(rebuilt).max()))
-    return diff
+        # np.maximum, unlike max(), carries a NaN of any slice through to the result.
+        diff = np.maximum(diff, np.abs(rebuilt).max())
+    return float(diff)

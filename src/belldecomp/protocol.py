@@ -391,11 +391,13 @@ class OutcomeRecord:
 _TABLE_PAIRS = 5
 
 # The comparator's chunks (``oracle._cross_check``) cover the last
-# _CHECK_PAIRS pairs, 1 MiB at N = 8.  Its chunk buffers are allocated and
-# freed on every call.  With 1 MiB chunks cross_check at N = 6 took 1,100 to
-# 2,300 minor page faults per call, as the freed heap went back to the kernel
-# each time, and 10.4-12.4 ms against 8.6-9.9 ms with 4^4-row chunks, whose
-# calls took a median of 0 (2-CPU Xeon, glibc malloc, 60 calls per process).
+# _CHECK_PAIRS pairs, 1 MiB at N = 8, and so does the level of the first
+# _CHECK_PAIRS pairs they share up to N = 8: one chunk.  Its buffers are
+# allocated and freed on every call.  With 1 MiB chunks cross_check at N = 6
+# took 1,100 to 2,300 minor page faults per call, as the freed heap went back
+# to the kernel each time, and 10.4-12.4 ms against 8.6-9.9 ms with 4^4-row
+# chunks, whose calls took a median of 0 (2-CPU Xeon, glibc malloc, 60 calls
+# per process).
 _CHECK_PAIRS = 4
 
 # sigma_r as a signed permutation, entries 0 and +-1 (-iY is real): row j of
@@ -422,34 +424,42 @@ def _outcome_chunks(
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Each chunk's rows of the outcome table and its unnormalized collapsed states.
 
-    The lead pairs, whose results the chunks fix, are contracted first, for
-    all their results at once, and each chunk starts from its row of that:
-    4^(N - t) * 2^N amplitudes for the t = min(N - 1, ``pairs``) pairs a
-    chunk covers, at most a chunk up to ``ENUMERATION_CAP``.  Each chunk's t
-    pairs are then contracted one pair at a time by ``_contract_pair``.
-    Each step reads the state from one buffer and writes the next into the
-    other: the step before the last writes a quarter of a chunk and the one
-    before it a sixteenth.  Each step's products take half its output, half
-    a chunk in the last step, so a chunk's scratch is at most 13/16 of a
-    chunk.  The last pair writes the chunk into ``table[rows]`` when a table
-    is given, and otherwise into a chunk-sized buffer, which the next chunk
-    overwrites.  The rows are the same bits under any ``pairs``.  The caller
-    checks ``ENUMERATION_CAP``.
+    A chunk covers the last t = min(N - 1, ``pairs``) pairs and fixes the
+    results of the N - t lead pairs before them.  The first ``depth`` pairs
+    are contracted first, for all their results at once, into a level of
+    4^depth * 2^N amplitudes, and each chunk starts from its
+    4^(depth - (N - t)) rows of that level.  The table path takes the lead
+    pairs only, depth = N - t: at most a chunk up to ``ENUMERATION_CAP``.
+    The comparator path (no ``table``) takes depth = max(t, N - t): up to
+    N = 2t the level is exactly one chunk, and each chunk contracts only its
+    last N - t pairs, so the smallest steps run once per call instead of
+    once per chunk.  A chunk's remaining pairs are contracted one pair at a
+    time by ``_contract_pair``.  Each step reads the state from the level or
+    one buffer and writes the next into the other: the step before the last
+    writes a quarter of a chunk and the one before it a sixteenth.  Each
+    step's products take half its output, half a chunk in the last step, so
+    a chunk's scratch is at most 13/16 of a chunk.  The last pair writes the
+    chunk into ``table[rows]`` when a table is given, and otherwise into a
+    chunk-sized buffer, which the next chunk overwrites.  The rows are the
+    same bits under any ``pairs`` and either depth.  The caller checks
+    ``ENUMERATION_CAP``.
     """
     n = inst.num_qubits
     lead = n - min(n - 1, pairs)
-    t = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
-    for i, columns in enumerate(inst._coefficients[:lead]):
+    depth = lead if table is not None else max(n - lead, lead)
+    level = (inst.input_state.amps * math.sqrt(0.5) ** n).reshape(-1, 1, 1)
+    for i, columns in enumerate(inst._coefficients[:depth]):
         # At N = 1 the lead pair is the last, and its rows are the table.
         last = i == n - 1 and table is not None
-        dest = table.reshape(-1) if last else np.empty(4 * t.size, dtype=np.complex128)
-        t = _contract_pair(columns, t, dest)
+        dest = table.reshape(-1) if last else np.empty(4 * level.size, dtype=np.complex128)
+        level = _contract_pair(columns, level, dest)
     size = _chunk_rows(n, pairs) << n
     states = np.empty(size // 4, dtype=np.complex128), np.empty(size // 16, dtype=np.complex128)
     out = np.empty(size, dtype=np.complex128) if table is None else None
+    per = 4 ** (depth - lead)  # level rows per chunk
     for c, (rows, _) in enumerate(_chunks(n, pairs)):
-        chunk = t[:, c : c + 1]
-        for i, columns in enumerate(inst._coefficients[lead:], start=lead):
+        chunk = level[:, c * per : (c + 1) * per]
+        for i, columns in enumerate(inst._coefficients[depth:], start=depth):
             if i < n - 1:
                 dest = states[(n - 2 - i) % 2]
             else:

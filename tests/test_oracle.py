@@ -235,22 +235,49 @@ class TestProjectAllOutcomes:
                 assert report.passed and report.max_abs_diff <= 1e-12
 
     def test_ties_go_to_the_first_outcome(self, monkeypatch):
-        """Two rows, in different chunks, miss by the same amount; the earlier one is named."""
+        """Two rows miss by the same amount; the earlier one is named.  Rows 21 and 50
+        lie in different chunks; rows 27 and 28 in one, row 28's miss in an earlier
+        column than row 27's."""
         n = 3
         inst = TeleportationInstance(
             StateVector(n, np.eye(1 << n)[0]), Channel((mes_pair(),) * n), BHS
         )
-        rs = rearrange_for_measurement(joint_state(inst), inst)
-        exact = np.array([bell_project(rs, out).amps for out in outcomes(n)])
+        exact = exact_residuals(inst)
         assert len(set(np.abs(exact).max(axis=1).tolist())) == 1
-        predicted = exact.copy()
-        predicted[[21, 50]] = 0.0
-        monkeypatch.setattr(
-            oracle, "_outcome_chunks", lambda _: ((rows, predicted[rows]) for rows, _ in _chunks(n))
-        )
+        for first, second in [(21, 50), (27, 28)]:
+            predicted = exact.copy()
+            predicted[[first, second]] = 0.0
+            patch_predictions(monkeypatch, predicted)
+            report = cross_check(inst)
+            assert report.worst_outcome == outcomes(n)[first] == reference_cross_check(inst)[1]
+            assert report.max_abs_diff == float(np.abs(exact[first]).max()) > 0.0
+
+    def test_a_nan_is_reported_at_the_first_row_that_holds_one(self, monkeypatch):
+        """Rows 21 and 50, in different chunks, hold NaN, after row 5 misses by 1.0."""
+        n = 3
+        inst = random_instance(n, np.random.default_rng(89), BHS)
+        predicted = exact_residuals(inst)
+        predicted[5, 0] += 1.0
+        predicted[21, 3] = predicted[50, 0] = np.nan
+        patch_predictions(monkeypatch, predicted)
         report = cross_check(inst)
-        assert report.worst_outcome == outcomes(n)[21] == reference_cross_check(inst)[1]
-        assert report.max_abs_diff == float(np.abs(exact[21]).max()) > 0.0
+        assert np.isnan(report.max_abs_diff) and report.passed is False
+        assert report.worst_outcome == outcomes(n)[21]
+
+
+def exact_residuals(inst: TeleportationInstance) -> np.ndarray:
+    """Every outcome's residual, one ``bell_project`` per outcome."""
+    rs = rearrange_for_measurement(joint_state(inst), inst)
+    return np.array([bell_project(rs, out).amps for out in outcomes(inst.num_qubits)])
+
+
+def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
+    """Make ``cross_check`` read its predictions from the rows of ``predicted``, in the
+    comparator's chunks."""
+    n = predicted.shape[1].bit_length() - 1
+    monkeypatch.setattr(
+        oracle, "_outcome_chunks", lambda _: ((rows, predicted[rows]) for rows, _ in _chunks(n))
+    )
 
 
 # The conjugated Bell amplitudes as complex bras, as the projection used them
@@ -427,6 +454,24 @@ class TestCrossCheck:
         assert report.worst_outcome == outcomes(3)[row]
         assert report.max_abs_diff == pytest.approx(1e-6, abs=1e-12)
 
+    def test_holds_the_state_its_quarter_buffers_and_the_comparator_chunks(self):
+        """At N = 7, beyond the 16 * 8^N-byte measurement state and its two quarter-size
+        float buffers, the second of which also takes each chunk's magnitudes,
+        ``cross_check`` holds what ``_outcome_chunks`` does: at most three comparator
+        chunks of 4^4 rows and numpy's iterator buffers, as
+        ``test_comparator_scratch_is_at_most_three_chunks`` derives."""
+        n = 7
+        inst = random_instance(n, np.random.default_rng(133), BHS)
+        cross_check(inst)
+        tracemalloc.start()
+        try:
+            cross_check(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = 16 * 8**n
+        assert peak <= state + state // 2 + 3 * (16 * 4**4 << n) + 2 * 16 * np.getbufsize()
+
     def test_report_fields(self):
         inst = random_instance(1, np.random.default_rng(83), BHS)
         report = cross_check(inst, tol=1e-10)
@@ -458,6 +503,19 @@ class TestCrossCheck:
             table.invertible,
         )
         assert _reconstruction_diff(_measurement_state(inst), swapped) > 1e-3
+
+    @pytest.mark.parametrize("n, row, col", [(3, 5, 3), (5, 9, 20)])
+    def test_reconstruction_diff_propagates_a_nan(self, n, row, col):
+        """One NaN amplitude fails the check; at N = 5 it is in the second slice of
+        columns."""
+        inst = random_instance(n, np.random.default_rng(86), BHF)
+        rs = _measurement_state(inst)
+        table = enumerate_outcomes(inst)
+        assert _reconstruction_diff(rs, table) <= 1e-12
+        collapsed = table.collapsed.copy()
+        collapsed[row, col] = np.nan
+        broken = OutcomeTable(table.probabilities, collapsed, table.fidelities, table.invertible)
+        assert np.isnan(_reconstruction_diff(rs, broken))
 
 
 def whole_table_reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:

@@ -1036,6 +1036,28 @@ class TestChunkPlans:
         assert peak <= 16 * 8**n + 8 * 4**n + (16 * 4**5 << n)
 
     @pytest.mark.parametrize("n", [6, 7])
+    def test_comparator_scratch_is_at_most_three_chunks(self, n):
+        """Consuming ``_outcome_chunks`` without a table holds at most three comparator
+        chunks of 4^4 rows, 16 * 4^4 * 2^N bytes, and numpy's iterator buffers.  The
+        chunks: the shared level of the first four pairs, one chunk; the chunk buffer,
+        one; two step buffers, a quarter and a sixteenth; and the last step's products,
+        half a chunk: 2 13/16, and the last 3/16 covers the arrays' headers.  numpy 2
+        buffers operands of a ufunc call of at most ``np.getbufsize()`` elements, up to
+        two complex operands at once in a step: a whole chunk at N = 6.  numpy reports
+        its allocations to tracemalloc."""
+        inst = random_instance(n, np.random.default_rng(250 + n), BHS)
+        for _ in _outcome_chunks(inst):
+            pass
+        tracemalloc.start()
+        try:
+            for _ in _outcome_chunks(inst):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (16 * 4**4 << n) + 2 * 16 * np.getbufsize()
+
+    @pytest.mark.parametrize("n", [6, 7])
     def test_table_scratch_is_at_most_three_chunks(self, n):
         """Beyond the 16 * 8^N-byte table, ``enumerate_outcomes`` holds at most three
         buffers of one 4^5-row chunk (16 * 4^5 * 2^N bytes) at a time, its probabilities
