@@ -90,6 +90,12 @@ class TeleportationInstance:
     convention: PairingConvention
 
     def __post_init__(self) -> None:
+        if not isinstance(self.input_state, StateVector):
+            raise ValueError(
+                f"input_state must be a StateVector, got {type(self.input_state).__name__}"
+            )
+        if not isinstance(self.channel, Channel):
+            raise ValueError(f"channel must be a Channel, got {type(self.channel).__name__}")
         if not isinstance(self.convention, PairingConvention):
             raise ValueError(f"convention must be a PairingConvention, got {self.convention!r}")
         if self.input_state.num_qubits != len(self.channel.pairs):
@@ -385,8 +391,9 @@ class OutcomeRecord:
 # but the last few pairs, and always the first pair's result.  No buffer or
 # temporary then holds more than one chunk of outcomes' states.  The table's
 # build, Pauli frames and recovery cover the last _TABLE_PAIRS pairs: at N = 6
-# that is 4 chunks of 1 MiB, 4 zgemm calls and 24 pair steps per table, where
-# 4^4-row chunks took 16 and 96.  The recovery product's BLAS policy is
+# that is 4 chunks of 1 MiB, 4 zgemm calls and 21 pair steps per table (the
+# lead pair once, then 5 per chunk), where 4^4-row chunks would take 16 calls
+# and 66 steps (2, then 4 per chunk).  The recovery product's BLAS policy is
 # fewer, larger calls.
 _TABLE_PAIRS = 5
 
@@ -436,11 +443,14 @@ def _outcome_chunks(
     once per chunk.  A chunk's remaining pairs are contracted one pair at a
     time by ``_contract_pair``.  Each step reads the state from the level or
     one buffer and writes the next into the other: the step before the last
-    writes a quarter of a chunk and the one before it a sixteenth.  Each
-    step's products take half its output, half a chunk in the last step, so
-    a chunk's scratch is at most 13/16 of a chunk.  The last pair writes the
-    chunk into ``table[rows]`` when a table is given, and otherwise into a
-    chunk-sized buffer, which the next chunk overwrites.  The rows are the
+    writes a quarter of a chunk and the one before it a sixteenth.  Only the
+    buffers some step writes are allocated: the comparator's chunks at N = 6
+    take two steps and allocate only the quarter, and at N <= 5 they take one
+    step and allocate neither.  Each step's products take half its output,
+    half a chunk in the last step, so a chunk's scratch is at most 13/16 of
+    a chunk.  The last pair writes the chunk into ``table[rows]`` when a
+    table is given, and otherwise into a chunk-sized buffer, which the next
+    chunk overwrites.  The rows are the
     same bits under any ``pairs`` and either depth.  The caller checks
     ``ENUMERATION_CAP``.
     """
@@ -454,7 +464,11 @@ def _outcome_chunks(
         dest = table.reshape(-1) if last else np.empty(4 * level.size, dtype=np.complex128)
         level = _contract_pair(columns, level, dest)
     size = _chunk_rows(n, pairs) << n
-    states = np.empty(size // 4, dtype=np.complex128), np.empty(size // 16, dtype=np.complex128)
+    # Pair i < N - 1 writes buffer (N - 2 - i) % 2, a quarter or a sixteenth of
+    # a chunk; a buffer that no pair after the level writes is not allocated.
+    states = [
+        np.empty(size >> 2 * k, dtype=np.complex128) if depth < n - k else None for k in (1, 2)
+    ]
     out = np.empty(size, dtype=np.complex128) if table is None else None
     per = 4 ** (depth - lead)  # level rows per chunk
     for c, (rows, _) in enumerate(_chunks(n, pairs)):
@@ -731,7 +745,7 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 
 def random_pair(rng: np.random.Generator) -> EntangledPair:
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return EntangledPair(y / np.linalg.norm(y))
+    return EntangledPair(_unit(y))
 
 
 def random_channel(num_pairs: int, rng: np.random.Generator) -> Channel:

@@ -81,9 +81,6 @@ class StateVector:
     def squared_norm(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def normalized(self) -> "StateVector":
         return StateVector(self.num_qubits, _unit(self.amps))
 
@@ -96,10 +93,10 @@ def _check_finite(amps: np.ndarray) -> None:
 def _unit(amps: np.ndarray) -> np.ndarray:
     """``amps`` divided by their 2-norm, as a new read-only array.
 
-    The normalisation of ``StateVector.normalized`` and of the state
-    ``recover`` returns.  Raises ValueError for a zero state.  The amplitudes
-    must be finite: the division turns an infinite one into NaN, with a
-    warning.
+    The normalisation of ``StateVector.normalized``, of the state ``recover``
+    returns and of ``random_pair``.  Raises ValueError for a zero state.  The
+    amplitudes must be finite: the division turns an infinite one into NaN,
+    with a warning.
     """
     n = float(np.linalg.norm(amps))
     if n == 0.0:

@@ -79,6 +79,10 @@ class TestEntangledPair:
         with pytest.raises(ValueError):
             Channel(())
 
+    def test_channel_members_must_be_pairs(self):
+        with pytest.raises(ValueError, match="channel pairs must be EntangledPair instances"):
+            Channel((mes_pair(), mes_pair().y))
+
     def test_channel_length_is_its_pair_count(self):
         assert len(Channel((mes_pair(),) * 3)) == 3
 

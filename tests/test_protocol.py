@@ -94,6 +94,16 @@ class TestTeleportationInstance:
         with pytest.raises(ValueError, match="convention must be a PairingConvention"):
             TeleportationInstance(state, Channel((mes_pair(),)), convention)
 
+    def test_state_and_channel_must_have_their_types(self):
+        """Accepted, an array for the state or a tuple of pairs for the channel failed
+        later with AttributeError on ``num_qubits`` or ``pairs``."""
+        state = StateVector(1, np.array([1, 0], dtype=complex))
+        channel = Channel((mes_pair(),))
+        with pytest.raises(ValueError, match="input_state must be a StateVector, got ndarray"):
+            TeleportationInstance(state.amps, channel, BHS)
+        with pytest.raises(ValueError, match="channel must be a Channel, got tuple"):
+            TeleportationInstance(state, channel.pairs, BHS)
+
     def test_unnormalized_pair_rejected(self):
         """Accepted, the pair (2, 0, 0, 2) made the probabilities sum to 8."""
         ch = Channel((mes_pair(), EntangledPair(np.array([2, 0, 0, 2], dtype=complex))))
@@ -1040,11 +1050,11 @@ class TestChunkPlans:
         """Consuming ``_outcome_chunks`` without a table holds at most three comparator
         chunks of 4^4 rows, 16 * 4^4 * 2^N bytes, and numpy's iterator buffers.  The
         chunks: the shared level of the first four pairs, one chunk; the chunk buffer,
-        one; two step buffers, a quarter and a sixteenth; and the last step's products,
-        half a chunk: 2 13/16, and the last 3/16 covers the arrays' headers.  numpy 2
-        buffers operands of a ufunc call of at most ``np.getbufsize()`` elements, up to
-        two complex operands at once in a step: a whole chunk at N = 6.  numpy reports
-        its allocations to tracemalloc."""
+        one; at most two step buffers, a quarter and a sixteenth; and the last step's
+        products, half a chunk: 2 13/16, and the last 3/16 covers the arrays' headers.
+        numpy 2 buffers operands of a ufunc call of at most ``np.getbufsize()``
+        elements, up to two complex operands at once in a step: a whole chunk at
+        N = 6.  numpy reports its allocations to tracemalloc."""
         inst = random_instance(n, np.random.default_rng(250 + n), BHS)
         for _ in _outcome_chunks(inst):
             pass
@@ -1056,6 +1066,28 @@ class TestChunkPlans:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * (16 * 4**4 << n) + 2 * 16 * np.getbufsize()
+
+    @pytest.mark.parametrize("n, unwritten", [(5, (4, 16)), (6, (16,))])
+    def test_comparator_allocates_only_the_step_buffers_it_writes(self, n, unwritten):
+        """Without a table, a chunk at N = 6 takes two pair steps and writes only the
+        quarter-chunk buffer, and at N = 5 it takes one step and writes neither, so
+        no block of a quarter or a sixteenth of a 4^4-row chunk that no step writes
+        is live while the walk runs.  numpy reports its allocations to
+        tracemalloc; the other blocks ``protocol`` allocates are the level, the chunk
+        buffer, the written step buffer and the scaled input, none of those sizes."""
+        inst = random_instance(n, np.random.default_rng(255 + n), BHS)
+        chunk = 16 * 4**_CHECK_PAIRS << n
+        tracemalloc.start()
+        try:
+            walk = _outcome_chunks(inst)
+            next(walk)
+            walked = tracemalloc.Filter(True, _outcome_chunks.__code__.co_filename)
+            traces = tracemalloc.take_snapshot().filter_traces([walked]).traces
+        finally:
+            tracemalloc.stop()
+        sizes = {trace.size for trace in traces}
+        assert chunk in sizes
+        assert not sizes & {chunk // part for part in unwritten}
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_table_scratch_is_at_most_three_chunks(self, n):
