@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import reprlib
 import sys
 from functools import reduce
 from pathlib import Path
@@ -47,7 +48,7 @@ from .protocol import (
     recover,
     sample_outcome,
 )
-from .tensor import DEFAULT_EQ_TOL, StateVector
+from .tensor import DEFAULT_EQ_TOL, StateVector, _unit
 
 __all__ = ["main"]
 
@@ -66,25 +67,24 @@ DEFAULT_CHANNEL_FIXTURE = _FIXTURES / "channel3_mes.json"
 _T = TypeVar("_T")
 
 
-class CliInputError(Exception):
-    """Bad file contents or inconsistent inputs; maps to exit code 2."""
-
-
 def _complex_from_json(value, what: str) -> complex:
     # json loads numbers as int or float; the exact type test turns away bools.
     if not (isinstance(value, list) and len(value) == 2 and {*map(type, value)} <= {int, float}):
-        raise CliInputError(f"{what}: expected [re, im], got {value!r}")
-    return complex(*value)
+        raise ValueError(f"{what}: expected [re, im], got {reprlib.repr(value)}")
+    try:
+        return complex(*value)
+    except OverflowError:
+        raise ValueError(f"{what}: {reprlib.repr(value)} is past the float range") from None
 
 
 def _read_json(path: Path, what: str, *keys: str) -> dict:
-    """The JSON object in ``path``, which must hold every one of ``keys``."""
+    """The JSON object in ``path``, read as UTF-8, holding every one of ``keys``."""
     try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliInputError(f"cannot read {what} file {path}: {exc}") from exc
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValueError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(doc, dict) or not all(k in doc for k in keys):
-        raise CliInputError(f"{path}: expected an object with {' and '.join(keys)}")
+        raise ValueError(f"{path}: expected an object with {' and '.join(keys)}")
     return doc
 
 
@@ -92,29 +92,19 @@ def _load_unit(raw, what: str, build: Callable[[np.ndarray], _T]) -> tuple[_T, f
     """``build`` of the [re, im] list ``raw`` divided by its norm, and that norm.
 
     ``build`` is the library constructor, which makes every check of the
-    values; its ValueError is reported after ``what``.  When the plain norm
-    under- or overflows, the values are scaled by their largest real or
-    imaginary part first, so every finite nonzero vector is normalized and
-    the norm reported is the true one.
+    values; its ValueError is reported after ``what``.
     """
     if not isinstance(raw, list):
-        raise CliInputError(f"{what}: expected a list of [re, im], got {type(raw).__name__}")
+        raise ValueError(f"{what}: expected a list of [re, im], got {type(raw).__name__}")
     values = np.array([_complex_from_json(v, what) for v in raw], dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(values))
     try:
-        if 0.0 < norm < math.inf:
-            return build(values / norm), norm
-        scale = float(np.abs(values.view(np.float64)).max(initial=0.0))
-        if not 0.0 < scale < math.inf:
-            build(values)  # the constructor's own refusal comes first
-            raise CliInputError(f"{what} must not be the zero vector")
-        # Divided as floats: numpy divides a complex by a subnormal through 1 / scale.
-        values = (values.view(np.float64) / scale).view(np.complex128)
-        norm = float(np.linalg.norm(values))
-        return build(values / norm), scale * norm
+        build(values)  # the constructor's refusal comes first
     except ValueError as exc:
-        raise CliInputError(f"{what}: {exc}") from exc
+        raise ValueError(f"{what}: {exc}") from exc
+    if not values.any():
+        raise ValueError(f"{what} must not be the zero vector")
+    unit, norm = _unit(values)
+    return build(unit), norm
 
 
 def load_state(path: Path) -> StateVector:
@@ -132,7 +122,7 @@ def load_channel(path: Path) -> Channel:
     """Read {"pairs": [[[re, im] x4], ...]} from a JSON file, normalizing pairs."""
     raw_pairs = _read_json(path, "channel", "pairs")["pairs"]
     if not isinstance(raw_pairs, list):
-        raise CliInputError(f"{path}: pairs must be a list, got {type(raw_pairs).__name__}")
+        raise ValueError(f"{path}: pairs must be a list, got {type(raw_pairs).__name__}")
     pairs = []
     for i, raw in enumerate(raw_pairs, start=1):
         pair, norm = _load_unit(raw, f"{path}: pair {i}", EntangledPair)
@@ -142,14 +132,14 @@ def load_channel(path: Path) -> Channel:
     try:
         return Channel(tuple(pairs))
     except ValueError as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def parse_outcome(text: str) -> tuple[int, ...]:
     """Accept '234' or '2,3,4'; ``validate_outcome`` checks the length and range."""
     digits = text.replace(",", "").replace(" ", "")
     if not (digits.isascii() and digits.isdigit()):
-        raise CliInputError(f"outcome must be digits 1-4, got {text!r}")
+        raise ValueError(f"outcome must be digits 1-4, got {text!r}")
     return tuple(int(c) for c in digits)
 
 
@@ -158,7 +148,7 @@ def _open_output(path_text: str) -> Iterator[TextIO]:
     """``path_text``, under BELLDECOMP_OUTPUT_DIR when relative, open for writing.
 
     Missing parent directories are made.  An OSError in making them, or in
-    opening, writing or closing the file, is reported as a CliInputError
+    opening, writing or closing the file, is reported as a ValueError
     naming the path; a closed pipe is left to ``main``.
     """
     path = Path(path_text)
@@ -172,7 +162,7 @@ def _open_output(path_text: str) -> Iterator[TextIO]:
     except BrokenPipeError:
         raise
     except OSError as exc:
-        raise CliInputError(f"cannot write output {path}: {exc}") from exc
+        raise ValueError(f"cannot write output {path}: {exc}") from exc
 
 
 def _fmt_complex(z: complex) -> str:
@@ -219,7 +209,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     convention = PairingConvention(args.convention)
     n = len(channel.pairs)
     if n > ENUMERATION_CAP:
-        raise CliInputError(
+        raise ValueError(
             f"refusing to print {1 << n}x{1 << n} matrices for {n} pairs "
             f"(cap is {ENUMERATION_CAP} pairs)"
         )
@@ -332,7 +322,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _valid_tol(args.tol_eq, "--tol-eq")
     m = args.random_instances
     if m < 0:
-        raise CliInputError(f"--random-instances must be >= 0, got {m}")
+        raise ValueError(f"--random-instances must be >= 0, got {m}")
     state_path = Path(args.state) if args.state else DEFAULT_STATE_FIXTURE
     channel_path = Path(args.channel) if args.channel else DEFAULT_CHANNEL_FIXTURE
     state = load_state(state_path)
@@ -370,12 +360,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     convention = PairingConvention(args.convention)
     n = len(channel.pairs)
     if not 1 <= args.pair <= n:
-        raise CliInputError(f"--pair must be in 1..{n}, got {args.pair}")
+        raise ValueError(f"--pair must be in 1..{n}, got {args.pair}")
     if args.theta_steps < 1:
-        raise CliInputError(f"--theta-steps must be >= 1, got {args.theta_steps}")
+        raise ValueError(f"--theta-steps must be >= 1, got {args.theta_steps}")
     # Checked before np.linspace, which warns on an infinite span.
     if not math.isfinite(args.theta_stop - args.theta_start):
-        raise CliInputError(f"theta range {args.theta_start} to {args.theta_stop} is not finite")
+        raise ValueError(f"theta range {args.theta_start} to {args.theta_stop} is not finite")
     labels = ["".join(out) for out in itertools.product("1234", repeat=n)]
 
     def rows(theta: float):
@@ -505,9 +495,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Point stdout at devnull so the flush at interpreter exit cannot fail.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NotInvertibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CRITERION_FAILED

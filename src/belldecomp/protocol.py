@@ -32,7 +32,7 @@ from .decomposition import (
     pair_blocks,
     validate_outcome,
 )
-from .tensor import StateVector, _check_finite, _integer, _unit, fidelity
+from .tensor import StateVector, _integer, _unit, fidelity
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -293,10 +293,9 @@ def recover(
     Pauli frame.  Every call compares the pair determinants with its own
     ``tol``: it raises NotInvertibleError naming the offending pair(s) when
     any determinant magnitude is at or below ``tol``, and ValueError unless
-    ``tol`` is a finite number >= 0.  The recovered amplitudes raise
-    ValueError, as ``StateVector`` and its normalisation do, when one is not
-    finite or all are zero, and ``fidelity`` raises when their norm
-    overflows.
+    ``tol`` is a finite number >= 0.  The recovered amplitudes are normalized
+    at any magnitude; they raise ValueError when one is not finite or all
+    are zero.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
@@ -310,10 +309,7 @@ def recover(
             pair_indices=bad,
         )
     steps = ((s[r - 1], np.add) for s, r in zip(inst._inverse_step_blocks, out))
-    amps = _contract_outcome(steps, collapsed.amps)
-    # Checked before the division, which would turn an infinite amplitude into NaN.
-    _check_finite(amps)
-    recovered = StateVector(n, _unit(amps))
+    recovered = StateVector(n, _unit(_contract_outcome(steps, collapsed.amps))[0])
     return recovered, fidelity(recovered, inst.input_state)
 
 
@@ -745,7 +741,7 @@ def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
 
 def random_pair(rng: np.random.Generator) -> EntangledPair:
     y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return EntangledPair(_unit(y))
+    return EntangledPair(_unit(y)[0])
 
 
 def random_channel(num_pairs: int, rng: np.random.Generator) -> Channel:

@@ -68,7 +68,8 @@ class StateVector:
         if n >= 63 or amps.size != 1 << n:
             expected = 1 << n if n < 63 else f"2**{n}"
             raise ValueError(f"expected {expected} amplitudes for {n} qubit(s), got {amps.size}")
-        _check_finite(amps)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "amps", amps)
 
@@ -82,37 +83,52 @@ class StateVector:
         return float(np.vdot(self.amps, self.amps).real)
 
     def normalized(self) -> "StateVector":
-        return StateVector(self.num_qubits, _unit(self.amps))
+        return StateVector(self.num_qubits, _unit(self.amps)[0])
 
 
-def _check_finite(amps: np.ndarray) -> None:
-    if not np.isfinite(amps).all():
-        raise ValueError("amplitudes must be finite")
+# np.linalg.norm takes the root of a plain sum of squared parts.  Squares
+# below 2**-1022 go subnormal but drop less than half an ulp of a sum of
+# 2**-1022 or more, and sums overflow from 2**1024, so the plain norm is exact
+# to rounding on [2**-511, 2**512).  Its top half-binade is given up: vdot,
+# checked first, does not warn on overflow, as np.linalg.norm does.
+_TRUSTED_NORMS = (2.0**-511, 2.0**511)
 
 
-def _unit(amps: np.ndarray) -> np.ndarray:
-    """``amps`` divided by their 2-norm, as a new read-only array.
+def _unit(amps: np.ndarray) -> tuple[np.ndarray, float]:
+    """``amps`` divided by their 2-norm, as a new read-only array, and that norm.
 
-    The normalisation of ``StateVector.normalized``, of the state ``recover``
-    returns and of ``random_pair``.  Raises ValueError for a zero state.  The
-    amplitudes must be finite: the division turns an infinite one into NaN,
-    with a warning.
+    The package's one normalisation.  Inside ``_TRUSTED_NORMS`` it is
+    ``amps / np.linalg.norm(amps)``; outside, the parts are first divided by
+    the largest of them, and the true norm, inf past the float range, is
+    returned.  Raises ValueError for a zero state or a non-finite amplitude.
     """
-    n = float(np.linalg.norm(amps))
-    if n == 0.0:
+    if np.vdot(amps, amps).real < 2.0**1023:
+        norm = float(np.linalg.norm(amps))
+        if norm >= _TRUSTED_NORMS[0]:
+            unit = amps / norm
+            unit.flags.writeable = False
+            return unit, norm
+    parts = np.ascontiguousarray(amps).view(np.float64)
+    scale = float(np.abs(parts).max(initial=0.0))
+    if not scale < math.inf:
+        raise ValueError("amplitudes must be finite")
+    if scale == 0.0:
         raise ValueError("cannot normalize a zero state")
-    amps = amps / n
-    amps.flags.writeable = False
-    return amps
+    # Divided as floats: numpy divides a complex by a subnormal through 1 / scale.
+    # The largest part is then 1, so the plain norm is trusted.
+    unit, norm = _unit((parts / scale).view(np.complex128))
+    return unit, scale * norm
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 with both sides normalized; raises on zero-norm input."""
+    """|<a|b>|^2 with both sides normalized; raises on a zero state."""
     if a.num_qubits != b.num_qubits:
         raise ValueError(f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}")
-    na2 = a.squared_norm()
-    nb2 = b.squared_norm()
-    if na2 == 0.0 or nb2 == 0.0:
-        raise ValueError("fidelity is undefined for a zero-norm state")
+    na2, nb2 = a.squared_norm(), b.squared_norm()
+    low, high = _TRUSTED_NORMS
+    # Outside, na2 * nb2 or the squared overlap below it may leave the normal floats.
+    if not (low <= na2 <= high and low <= nb2 <= high):
+        a, b = a.normalized(), b.normalized()
+        na2, nb2 = a.squared_norm(), b.squared_norm()
     overlap = np.vdot(a.amps, b.amps)
     return min(1.0, float(abs(overlap) ** 2 / (na2 * nb2)))

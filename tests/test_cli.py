@@ -1,17 +1,23 @@
 """End-to-end tests for the command line interface."""
 
 import ast
+import contextlib
 import gc
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldecomp import ENUMERATION_CAP, cli
 from belldecomp.channel import NORM_WARN_TOL, pair_determinant
@@ -67,6 +73,35 @@ class TestParsing:
         code = cli.main(["teleport", "--state", str(tmp_path / "nope.json"), "--channel", channel])
         assert code == 2
         assert "cannot read state file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "kind, content, message",
+        [
+            ("state", b'{"num_qubits": 1, "amps": [[1%s, 0], [0, 0]]}' % (b"0" * 400),
+             "state: [100000000000000000...0000000000000000000, 0] is past the float range"),
+            ("channel", b'{"pairs": [[[0, 0], [1%s, 0], [0, 0], [1, 0]]]}' % (b"0" * 400),
+             "pair 1: [100000000000000000...0000000000000000000, 0] is past the float range"),
+            ("state", b"[" * 2000 + b"]" * 2000, "maximum recursion depth exceeded"),
+            ("channel", b'{"pairs": [[[1%s, 0]]]}' % (b"0" * 5000), "Exceeds the limit"),
+            ("state", b'{"num_qubits": 1, "amps": [[1, 0], [0, 0]], "\xff": 0}', "utf-8"),
+        ],
+        ids=["400-digit-amplitude", "400-digit-coefficient", "2000-deep", "5000-digit",
+             "not-utf-8"],
+    )
+    def test_unreadable_values_exit_2_naming_the_file(
+        self, kind, content, message, tmp_path, capsys
+    ):
+        """The 400-digit numbers raised OverflowError and the 2000-deep file RecursionError,
+        each a traceback and exit 1; the 5000-digit and non-UTF-8 files exited 2
+        without naming the file."""
+        files = dict(state=str(cli.DEFAULT_STATE_FIXTURE), channel=str(cli.DEFAULT_CHANNEL_FIXTURE))
+        files[kind] = str(tmp_path / f"{kind}.json")
+        Path(files[kind]).write_bytes(content)
+        assert cli.main(["teleport", "--state", files["state"], "--channel", files["channel"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and files[kind] in line and message in line
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -327,6 +362,17 @@ class TestLoadChannel:
         amps = scales[0] * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
         state = cli.load_state(Path(write_state(tmp_path / "s.json", 3, amps)))
         assert state.amps.tobytes() == (amps / np.linalg.norm(amps)).tobytes()
+
+    def test_pair_with_subnormal_squares_loads_at_unit_norm(self, tmp_path, capsys):
+        """Its plain norm came out 1e-5 too large, so the loaded pair was refused as
+        not unit norm ("must have unit norm, got 1.00001") and decompose exited 2."""
+        path = tmp_path / "c.json"
+        channel = write_channel(path, [[complex(1e-160), 0j, 0j, complex(1e-160)]])
+        pair = cli.load_channel(Path(channel)).pairs[0]
+        assert pair.squared_norm() == pytest.approx(1, abs=1e-15)
+        capsys.readouterr()
+        assert cli.main(["decompose", "--channel", channel, "--outcome", "1"]) == 0
+        assert capsys.readouterr().err == f"warning: channel pair 1 in {path} renormalized\n"
 
     def test_zero_pair_exits_2(self, tmp_path, capsys):
         channel = write_channel(tmp_path / "c.json", [MES, [0j, 0j, 0j, 0j]])
@@ -767,3 +813,120 @@ class TestClosedPipe:
         assert proc.wait(timeout=120) == 0
         assert first == b"theta,outcome,probability,abs_det_min,min_singular_value\n"
         assert err == b""
+
+
+# Numbers json can hold: every float (NaN and the infinities included), small
+# integers, bools, and integers past the float range.
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=10**308, max_value=10**420),
+    st.booleans(),
+)
+_JSON = st.recursive(
+    st.none() | _NUMBERS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["num_qubits", "amps", "pairs"]) | st.text(max_size=2), inner, max_size=3
+    ),
+    max_leaves=12,
+)
+
+
+def _vectors(size: int, clean: bool):
+    """``size`` [re, im] lists of finite floats of any magnitude, or anything near that."""
+    if clean:
+        part = st.floats(allow_nan=False, allow_infinity=False)
+        return st.lists(st.lists(part, min_size=2, max_size=2), min_size=size, max_size=size)
+    entry = st.lists(_NUMBERS, min_size=2, max_size=2) | _JSON
+    return st.lists(entry, min_size=1, max_size=size + 1) | _JSON
+
+
+def _files(n: int, kind: str):
+    """The bytes of an n-qubit state or n-pair channel file: well formed half the time."""
+
+    def doc(clean):
+        if kind == "state":
+            qubits = st.just(n) if clean else st.just(n) | _JSON
+            return st.fixed_dictionaries({"num_qubits": qubits, "amps": _vectors(1 << n, clean)})
+        pairs = st.lists(_vectors(4, clean), min_size=n, max_size=n)
+        return st.fixed_dictionaries({"pairs": pairs if clean else pairs | _JSON})
+
+    def deep(prefix, suffix):
+        depths = st.integers(min_value=1000, max_value=3000)
+        return depths.map(lambda d: prefix + "[" * d + "]" * d + suffix)
+
+    malformed = st.one_of(
+        doc(False).map(json.dumps),
+        _JSON.map(json.dumps),
+        deep("", ""),
+        deep('{"num_qubits": 1, "amps": ', "}"),
+        deep('{"num_qubits": ', ', "amps": [[1, 0], [0, 0]]}'),
+        deep('{"pairs": ', "}"),
+    ).map(str.encode)
+    well_formed = doc(True).map(lambda d: json.dumps(d).encode())
+    malformed |= st.binary(max_size=8)
+    return st.booleans().flatmap(lambda ok: well_formed if ok else malformed)
+
+
+_TOLERANCES = st.sampled_from(["0", "1e-9", "0.5", "-1", "nan", "inf", "1e308"])
+_THETAS = st.sampled_from(["0", "1.5", "-1e300", "1e308", "inf", "-inf", "nan"])
+
+
+@st.composite
+def _argv(draw, n: int, tmp: Path, state: str, channel: str) -> list[str]:
+    """One subcommand and a draw of its options."""
+
+    def maybe(flag, values):
+        # One argument, so that argparse reads "-inf" as the value, not as an option.
+        return draw(st.sampled_from([[], [f"{flag}={draw(values)}"]]))
+
+    ints = st.integers(min_value=-2, max_value=2**70).map(str)
+    outputs = st.sampled_from([str(tmp / "out.txt"), str(tmp / "state.json" / "x")])
+    outcomes = st.text("1234", min_size=n, max_size=n) | st.text("12345, ", max_size=4)
+    command = draw(st.sampled_from(["decompose", "teleport", "verify", "sweep"]))
+    argv = [command, *maybe("--convention", st.sampled_from(CONVENTIONS))]
+    if command == "decompose":
+        argv += ["--channel", channel, "--outcome", draw(outcomes)]
+    elif command == "teleport":
+        argv += ["--state", state, "--channel", channel, *maybe("--seed", ints)]
+    elif command == "verify":
+        argv += maybe("--state", st.just(state)) + maybe("--channel", st.just(channel))
+        argv += maybe("--seed", ints) + maybe("--tol-eq", _TOLERANCES) + maybe("--output", outputs)
+        argv += maybe("--random-instances", st.integers(min_value=-1, max_value=2).map(str))
+    else:
+        argv += ["--state", state, "--channel", channel]
+        argv += maybe("--pair", st.integers(-1, 4).map(str))
+        argv += maybe("--theta-start", _THETAS) + maybe("--theta-stop", _THETAS)
+        argv += maybe("--theta-steps", st.integers(-1, 3).map(str)) + maybe("--output", outputs)
+        return argv
+    return argv + maybe("--tol-inv", _TOLERANCES)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_every_input_ends_in_an_exit_code(data):
+    """``main`` returns 0-3 and raises nothing, stderr holds no traceback, and only
+    verify exits 1.  A 400-digit number or a 2000-deep file raised out of ``main``.
+
+    Warnings are recorded, not raised, as a process would print them.  The one
+    kind seen is numpy's, when --tol-inv=0 passes a pair whose determinant is
+    so small that its inverse blocks, or their products, pass the float range:
+    overflow, then NaN recovery fidelities.
+    """
+    n = data.draw(st.integers(min_value=1, max_value=3), label="n")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        state, channel = tmp / "state.json", tmp / "channel.json"
+        state.write_bytes(data.draw(_files(n, "state"), label="state"))
+        channel.write_bytes(data.draw(_files(n, "channel"), label="channel"))
+        argv = data.draw(_argv(n, tmp, str(state), str(channel)), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+    assert code in (0, 1, 2, 3)
+    assert code != 1 or argv[0] == "verify"
+    assert "Traceback" not in err.getvalue()
+    assert not caught or "--tol-inv=0" in argv and {w.category for w in caught} == {RuntimeWarning}

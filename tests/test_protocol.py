@@ -236,6 +236,21 @@ class TestRecover:
         _, fid_scaled = recover(StateVector(1, 5.0 * c.amps), inst, (2,))
         assert fid_raw == pytest.approx(fid_scaled, abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e306])
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fidelity_at_extreme_collapsed_scales(self, n, conv, scale):
+        """The recovered amplitudes are finite, but their plain norm underflowed to 0
+        (refused as a zero state) or overflowed (normalized to zeros, whose fidelity
+        was undefined)."""
+        inst = random_instance(n, np.random.default_rng(62), conv)
+        for out in [(1,) * n, (4,) * n, (2, 3, 1)[:n]]:
+            c = collapsed_state(inst, out)
+            recovered, fid = recover(c, inst, out)
+            scaled, fid_scaled = recover(StateVector(n, scale * c.amps), inst, out)
+            assert fid_scaled == pytest.approx(fid, abs=1e-14)
+            np.testing.assert_allclose(scaled.amps, recovered.amps, rtol=0, atol=1e-14)
+
 
 class TestRecoverFailures:
     """Recovered amplitudes that cannot be normalized end in ValueError.  Each case
@@ -268,19 +283,6 @@ class TestRecoverFailures:
         collapsed = StateVector(1, [1e300, 1e300])
         allowed = {"overflow encountered in multiply"}
         self.recover_warns(collapsed, inst, (r,), 0.0, allowed, "amplitudes must be finite")
-
-    @pytest.mark.parametrize("conv", [BHF, BHS])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_finite_recovery_whose_norm_overflows(self, n, conv):
-        """The recovered amplitudes are finite but their norm is not: they
-        normalize to zeros, whose fidelity is undefined."""
-        inst = mes_instance(n, seed=62, convention=conv)
-        big = StateVector(n, np.full(1 << n, 1e307))
-        for out in [(1,) * n, (4,) * n]:
-            self.recover_warns(
-                big, inst, out, 1e-9, {"overflow encountered in dot"},
-                "fidelity is undefined for a zero-norm state",
-            )
 
 
 class TestChannelCriterion:

@@ -1,7 +1,11 @@
-"""Tests for state vectors and fidelity."""
+"""Tests for state vectors, the one normalisation and fidelity."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from belldecomp import (
     Channel,
@@ -11,6 +15,7 @@ from belldecomp import (
     TeleportationInstance,
     fidelity,
 )
+from belldecomp.tensor import _TRUSTED_NORMS, _unit
 
 
 class TestStateVector:
@@ -56,6 +61,62 @@ class TestStateVector:
     def test_normalize_zero_state_raises(self):
         with pytest.raises(ValueError):
             StateVector(1, np.zeros(2)).normalized()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170, 1.7e308, 5e-324])
+    def test_normalized_at_extreme_magnitudes_is_a_unit_vector(self, scale):
+        """At 1e300 the plain norm overflowed and the state normalized to zeros; at
+        1e-170 it underflowed to 0 and the state was refused as a zero state."""
+        s = StateVector(2, [scale, -scale, 0.0, 1j * scale]).normalized()
+        expected = np.array([1, -1, 0, 1j]) / math.sqrt(3)
+        np.testing.assert_allclose(s.amps, expected, rtol=0, atol=1e-16)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_one_normalisation_refuses_a_non_finite_amplitude(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        _unit(np.array([1.0, bad * 1j]))
+
+
+def vectors_near_the_trusted_norms():
+    """Complex vectors whose norms fall inside ``_TRUSTED_NORMS`` and past both ends.
+
+    One shared binary exponent places the vector; each part has its own
+    offset below it, so some squares go subnormal while the sum stays normal.
+    """
+    low, high = (math.frexp(t)[1] for t in _TRUSTED_NORMS)
+    mantissas = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
+    part = st.tuples(mantissas, st.integers(min_value=-80, max_value=0))
+    return st.builds(
+        lambda k, parts: np.array([math.ldexp(m, k + d) for m, d in parts]).view(np.complex128),
+        st.integers(min_value=low - 40, max_value=high + 4),
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda n: st.lists(part, min_size=2 * n, max_size=2 * n)
+        ),
+    )
+
+
+@settings(max_examples=500)
+@given(vectors_near_the_trusted_norms())
+def test_one_normalisation(x):
+    """Inside ``_TRUSTED_NORMS`` the plain division, byte for byte; everywhere the
+    plain division of ``x`` rescaled by an exact power of two."""
+    peak = float(np.abs(x.view(np.float64)).max())
+    if peak == 0.0:
+        with pytest.raises(ValueError, match="cannot normalize a zero state"):
+            _unit(x)
+        return
+    unit, norm = _unit(x)
+    assert not unit.flags.writeable
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(x))
+    if _TRUSTED_NORMS[0] <= plain <= _TRUSTED_NORMS[1]:
+        assert unit.tobytes() == (x / plain).tobytes()
+        assert norm == plain
+    # Parts far below the peak may lose bits in the rescale; they weigh nothing.
+    e = math.frexp(peak)[1]
+    y = np.ldexp(x.view(np.float64), -e).view(np.complex128)
+    np.testing.assert_allclose(unit, y / np.linalg.norm(y), rtol=0, atol=1e-15)
+    assert norm == pytest.approx(math.ldexp(float(np.linalg.norm(y)), e), rel=1e-15)
 
 
 class TestAmplitudesAreReadOnly:
@@ -135,6 +196,24 @@ class TestFidelity:
         a = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         b = StateVector(2, rng.standard_normal(4) + 1j * rng.standard_normal(4))
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-320])
+    def test_extreme_magnitudes(self, scale):
+        """Accepted, [1e200, 0] gave 1.0 against [1, 1]: its squared norm overflowed
+        to inf and so did the squared overlap.  [1e-170, 0] was refused as zero-norm."""
+        a = StateVector(1, [scale, 0])
+        b = StateVector(1, [1, 1])
+        assert fidelity(a, b) == pytest.approx(0.5, abs=1e-15)
+        assert fidelity(b, a) == pytest.approx(0.5, abs=1e-15)
+        assert fidelity(a, StateVector(1, [scale, scale])) == pytest.approx(0.5, abs=1e-15)
+
+    def test_trusted_squared_norms_keep_the_plain_formula(self):
+        rng = np.random.default_rng(15)
+        for scale in [1.0, 1e-70, 1e70, 2.0**-250, 2.0**250]:
+            a = StateVector(3, scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8)))
+            b = StateVector(3, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+            plain = abs(np.vdot(a.amps, b.amps)) ** 2 / (a.squared_norm() * b.squared_norm())
+            assert fidelity(a, b) == min(1.0, float(plain))
 
     def test_zero_norm_raises(self):
         a = StateVector(1, np.array([1, 0], dtype=complex))
