@@ -18,7 +18,6 @@ import math
 import os
 import reprlib
 import sys
-from functools import reduce
 from pathlib import Path
 from typing import Callable, Iterator, NoReturn, Sequence, TextIO, TypeVar
 
@@ -29,17 +28,17 @@ from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
     PairingConvention,
+    _inverse_product,
     _valid_tol,
     decomposition_matrix,
     inverse_sub_matrix,
     pair_blocks,
     validate_outcome,
 )
-from .oracle import _cross_check, _measurement_state, _reconstruction_diff
+from .oracle import VerificationReport, verify_instance
 from .protocol import (
     ENUMERATION_CAP,
     TeleportationInstance,
-    _non_invertible_pairs,
     _valid_seed,
     channel_criterion,
     collapsed_state,
@@ -227,15 +226,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     print(_fmt_matrix(decomposition_matrix(channel, outcome, convention)))
     print()
     try:
-        inverses = [
+        inverse = _inverse_product(
             inverse_sub_matrix(p, a, convention, args.tol_inv)
             for p, a in zip(channel.pairs, outcome)
-        ]
+        )
     except NotInvertibleError as exc:
         print(f"inverse: not available ({exc})")
     else:
         print("inverse decomposition matrix:")
-        print(_fmt_matrix(reduce(np.kron, inverses)))
+        print(_fmt_matrix(inverse))
     print()
     print("full block table:")
     for i, stack in enumerate(stacks, start=1):
@@ -271,49 +270,24 @@ def cmd_teleport(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_instance(
-    label: str, inst: TeleportationInstance, tol_eq: float, tol_inv: float
-) -> tuple[list[str], bool]:
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> bool:
-        checks.append((name, "PASS" if passed else "FAIL", detail))
-        return passed
-
-    # One joint state in measurement order serves the oracle and the
-    # reconstruction check.
-    rearranged = _measurement_state(inst)
-    report = _cross_check(inst, rearranged, tol_eq)
-    ok = check(
-        "oracle-equivalence",
-        report.passed,
-        f"max|diff| = {report.max_abs_diff:.3e}, tol {tol_eq:.3e}, "
-        f"{report.num_outcomes} outcome(s)",
-    )
-
-    table = enumerate_outcomes(inst, tol=tol_inv)
-    # Python's left-to-right sum: numpy's pairwise one changes the last digits
-    # of the printed residual, which tests/data/verify_*.txt pin.
-    residual = abs(sum(table.probabilities.tolist()) - 1.0)
-    ok &= check(
-        "completeness", residual <= tol_eq, f"|sum(p) - 1| = {residual:.3e}, tol {tol_eq:.3e}"
-    )
-
-    diff = _reconstruction_diff(rearranged, table)
-    ok &= check("reconstruction", diff <= tol_eq, f"max|diff| = {diff:.3e}, tol {tol_eq:.3e}")
-
-    if table.invertible:
-        fids = table.fidelities[table.probabilities > 0.0]
-        worst = float(np.nanmin(fids)) if fids.size else 0.0
-        ok &= check(
-            "recovery-fidelity",
-            bool(fids.size) and worst >= 1.0 - tol_eq,
-            f"min fidelity = {worst:.15f}, tol {tol_eq:.3e}",
-        )
+def _verify_lines(label: str, report: VerificationReport) -> list[str]:
+    """One line per check of ``verify_instance``'s report."""
+    tol = f"tol {report.oracle.tolerance:.3e}"
+    if report.non_invertible:
+        recovery = f"pair(s) {', '.join(map(str, report.non_invertible))} not invertible"
+    elif report.recovery_overflow:
+        recovery = "the tensor product of the pair inverses leaves the float range"
     else:
-        failed = ", ".join(map(str, _non_invertible_pairs(inst, tol_inv)))
-        checks.append(("recovery-fidelity", "SKIP", f"pair(s) {failed} not invertible"))
-    return [f"check {name}{label}: {verdict} ({detail})" for name, verdict, detail in checks], ok
+        recovery = f"min fidelity = {report.min_fidelity:.15f}, {tol}"
+    oracle = report.oracle
+    details = [
+        f"max|diff| = {oracle.max_abs_diff:.3e}, {tol}, {oracle.num_outcomes} outcome(s)",
+        f"|sum(p) - 1| = {report.completeness:.3e}, {tol}",
+        f"max|diff| = {report.reconstruction:.3e}, {tol}",
+        recovery,
+    ]
+    checks = zip(report.verdicts, details)
+    return [f"check {name}{label}: {v} ({detail})" for (name, v), detail in checks]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -342,9 +316,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for label, seed in runs:
         if seed is not None:
             inst = random_instance(inst.num_qubits, np.random.default_rng(seed), convention)
-        inst_lines, inst_ok = _verify_instance(label, inst, args.tol_eq, args.tol_inv)
-        lines += inst_lines
-        ok &= inst_ok
+        report = verify_instance(inst, args.tol_eq, args.tol_inv)
+        lines += _verify_lines(label, report)
+        ok &= report.passed
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

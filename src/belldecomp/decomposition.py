@@ -151,7 +151,8 @@ def _inverse_coefficient_matrix(
     pair: EntangledPair, convention: PairingConvention, tol: float
 ) -> np.ndarray:
     """M^-1: the 2x2 adjugate over the checked pair determinant, which forms
-    a*d - b*c of M from the same two products under either convention."""
+    a*d - b*c of M from the same two products under either convention; also
+    NotInvertibleError when M^-1 leaves the float range, as at ``tol`` = 0."""
     det = pair_determinant(pair)
     if not _invertible(det, tol):
         raise NotInvertibleError(
@@ -159,7 +160,24 @@ def _inverse_coefficient_matrix(
             "no recovery transform exists"
         )
     (a, b), (c, d) = _coefficient_matrix(pair, convention)
-    return np.array([[d, -b], [-c, a]]) / det
+    with np.errstate(over="ignore", invalid="ignore"):
+        inverse = np.array([[d, -b], [-c, a]]) / det
+    if not np.isfinite(inverse).all():
+        raise NotInvertibleError(
+            f"the inverse of a pair of determinant magnitude {abs(det):.3e} "
+            "leaves the float range; no recovery transform exists"
+        )
+    return inverse
+
+
+def _inverse_product(inverses: Iterable[np.ndarray]) -> np.ndarray:
+    """The tensor product of the given inverses, the first factor on the most
+    significant bit; NotInvertibleError when an entry leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = reduce(np.kron, inverses)
+    if not np.isfinite(product).all():
+        raise NotInvertibleError("the tensor product of the pair inverses leaves the float range")
+    return product
 
 
 def inverse_pair_blocks(

@@ -5,30 +5,27 @@ and projects the measured qubits onto explicit Bell bras.  It deliberately
 never touches the decomposition module's blocks: the only shared ingredients
 are the raw Bell basis vectors, the raw input and pair amplitudes and the
 generic tensor utilities, so agreement between the two routes is
-meaningful.  Only ``_cross_check``, the comparison behind ``cross_check``, and
-the reconstruction check read the block predictions, to compare them.
+meaningful.  Only ``_oracle_pass``, behind ``cross_check`` and
+``verify_instance``, reads the block predictions, to compare them.
 
 ``joint_state`` builds the state as ``np.kron`` products, and
 ``rearrange_for_measurement`` reorders its qubits with one transpose and one
-copy: the independent reference that ``_measurement_state`` is held to.
-``_measurement_state`` multiplies the same products, in the same order,
-straight into measurement order, and is what ``cross_check`` and CLI
-``verify`` hold: 16 * 8^N bytes, 268 MB at N = 8.
+copy: the reference that ``_measurement_state`` is held to.  It multiplies
+the same products straight into measurement order: 16 * 8^N bytes, 268 MB
+at N = 8, the one large array the checks hold.
 
-A projection contracts each measured pair's axis against a stack of
-conjugated Bell bras, one pair at a time.  ``bell_project`` keeps one bra per
-pair; ``cross_check`` keeps all four and so gets every outcome's residual in
-one pass per pair, a quarter of the outcomes at a time.  Every Bell bra is
-real (entries 0 and +-1/sqrt(2)), so a pass acts alike on the real and the
-imaginary parts: it runs on the state's interleaved (re, im) float64 view
-as real matrix products, and the imaginary parts of the bras, all zero,
-would add only exact zeros.  ``cross_check`` writes its passes into two
-quarter-size buffers in turn instead of a new array per pass, and the
-magnitudes of each chunk's differences into the one its last pass left free.
+Every Bell bra is real (entries 0 and +-1/sqrt(2)), so contracting a pair
+runs on the state's interleaved (re, im) float64 view as real matrix
+products.  The Bell basis is orthonormal, so the residuals of all outcomes
+are R = U S, for the state S and the real orthogonal U, the tensor product
+of one (4, 4) matrix of bras per pair, and U^T P - S = U^T (P - R) for any
+P.  ``_transform`` turns S into R and back in place, and every check runs on
+that one array; ``bell_project`` contracts one bra per pair into new arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,8 +33,23 @@ from typing import Sequence
 import numpy as np
 
 from .channel import bell_state
-from .decomposition import PairingConvention, _valid_tol, validate_outcome
-from .protocol import OutcomeTable, TeleportationInstance, _outcome_chunks
+from .decomposition import (
+    DEFAULT_INVERTIBILITY_TOL,
+    PairingConvention,
+    _valid_tol,
+    validate_outcome,
+)
+from .protocol import (
+    _CHECK_PAIRS,
+    _TABLE_PAIRS,
+    TeleportationInstance,
+    _chunk_frames,
+    _chunk_rows,
+    _fidelity_rows,
+    _non_invertible_pairs,
+    _normalize_rows,
+    _outcome_chunks,
+)
 from .tensor import DEFAULT_EQ_TOL, StateVector
 
 __all__ = [
@@ -47,6 +59,8 @@ __all__ = [
     "bell_project",
     "CrossCheckReport",
     "cross_check",
+    "VerificationReport",
+    "verify_instance",
 ]
 
 # 3*8 = 24 qubits, i.e. 2^24 amplitudes (268 MB), is the largest joint state
@@ -66,15 +80,13 @@ def _real_bras() -> np.ndarray:
 
 _BELL_BRAS = _real_bras()
 
-# Float columns per matrix product in ``_project``: 1,024 floats are 512
-# complex amplitudes.  With OpenBLAS on 2 threads, a (1, 4) x (4, 1024)
-# complex product, 2,048 floats wide, already ran threaded and stalled for
-# 5-8 ms (2-CPU Xeon); products 512 complex columns wide stayed on one thread.
+# Float columns per matrix product in ``_project`` and ``_transform``: 1,024
+# floats are 512 complex amplitudes.  With OpenBLAS on 2 threads, a (1, 4) x
+# (4, 1024) complex product, 2,048 floats wide, already ran threaded and
+# stalled for 5-8 ms (2-CPU Xeon); products 512 complex columns wide stayed on
+# one thread.
 _BLAS_COLUMNS = 1024
-
-# Receiver columns per slice of ``_reconstruction_diff``: at N = 8 a slice of
-# the 268 MB table and each of ``_project``'s passes over it take 17 MB.
-_RECONSTRUCTION_COLUMNS = 16
+_SLAB = 1 << 15  # floats in ``_transform``'s one scratch slab: 256 KiB
 
 
 def _check_cap(n: int) -> None:
@@ -139,18 +151,17 @@ def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
         axes = (2 * i + 1, 2 * n + i)  # the sender's and the receiver's half
         shape = list(t.shape)
         shape[axes[0]] = shape[axes[1]] = 2
+        # Rebinding src first frees the step before t, which the last src viewed.
+        src = np.moveaxis(t, axes, (0, 1))[0, 0]
         new = np.empty(shape, dtype=np.complex128)
         dest = np.moveaxis(new, axes, (0, 1))
-        src = np.moveaxis(t, axes, (0, 1))[0, 0]
         for s, b in np.ndindex(2, 2):
             np.multiply(src, y[s, b], out=dest[s, b])
         t = new
     return t.reshape(-1)
 
 
-def _project(
-    amps: np.ndarray, bras: list[np.ndarray], buffers: Sequence[np.ndarray] = ()
-) -> np.ndarray:
+def _project(amps: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
     """Contract each measured pair of a rearranged state against a stack of real bras.
 
     ``bras[i]`` is a real (k_i, 4) array, the bras of the Bell results kept
@@ -160,33 +171,54 @@ def _project(
     The passes run on the float64 view of ``amps`` (made C-contiguous
     first), whose trailing axis interleaves real and imaginary parts: the
     axes after the measured one are cut into blocks of ``_BLAS_COLUMNS``
-    floats, and each block is one small real matrix product.  Given two
-    float ``buffers``, pass i writes into the front of ``buffers[i % 2]``,
-    and the result is a view of one of them; otherwise every pass allocates.
+    floats, and each block is one small real matrix product into a new array.
     """
     t, rows = np.ascontiguousarray(amps).view(np.float64), 1
-    for i, b in enumerate(bras):
+    for b in bras:
         cols = t.size // (4 * rows)
         block = min(cols, _BLAS_COLUMNS)
-        shape = (rows, len(b), cols // block, block)
-        if buffers:
-            out = buffers[i % 2][: rows * len(b) * cols].reshape(shape)
-        else:
-            out = np.empty(shape)
+        out = np.empty((rows, len(b), cols // block, block))
         x = t.reshape(rows, 4, cols // block, block)
         np.matmul(b, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
         t, rows = out, rows * len(b)
     return t.reshape(rows, -1).view(np.complex128)
 
 
+def _transform(amps: np.ndarray, matrix: np.ndarray) -> None:
+    """Contract each measured pair of a C-contiguous measurement-order state with a real
+    (4, 4) matrix, in place.
+
+    Pair i's measured axis becomes the matrix's row index, so ``_BELL_BRAS``
+    turns the state into the residuals, a (4^N, 2^N) table in outcome order
+    as ``_project`` gives it, and ``_BELL_BRAS.T`` turns them back.  As in
+    ``_project``, the float view's axes after the measured one are cut into
+    blocks of ``_BLAS_COLUMNS`` floats; as many (4, block) pieces as fill
+    the slab, the only array allocated, are multiplied into it and copied back.
+    """
+    t = amps.view(np.float64)
+    slab = np.empty(_SLAB)
+    for i in range(amps.size.bit_length() // 3):  # 8^N amplitudes: N pairs
+        rows, cols = 4**i, t.size >> 2 * i + 2
+        block = min(cols, _BLAS_COLUMNS)
+        pieces = t.reshape(rows, 4, cols // block, block).swapaxes(1, 2)
+        # A slab takes dq blocks of each of dr rows; each divides its axis.
+        dq = min(cols // block, _SLAB // (4 * block))
+        dr = _SLAB // (4 * block * dq)
+        for r, q in itertools.product(range(0, rows, dr), range(0, cols // block, dq)):
+            part = pieces[r : r + dr, q : q + dq]
+            out = slab[: part.size].reshape(part.shape)
+            np.matmul(matrix, part, out=out)
+            part[...] = out
+
+
 def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
     """Contract the measured qubits of a rearranged state against Bell bras.
 
     Returns the receiver's unnormalized residual; summed over all outcomes the
-    squared norms add up to the total squared norm of ``rs``.  This is the
-    one-row case of the projection ``cross_check`` makes of all outcomes: one
-    real bra per pair, applied to the float view of a C-contiguous copy of
-    ``rs.amps`` (no copy when they already are), so any ``StateVector`` works.
+    squared norms add up to the total squared norm of ``rs``.  This is one
+    row of the residuals ``cross_check`` makes of all outcomes: one real bra
+    per pair, applied to the float view of a C-contiguous copy of ``rs.amps``
+    (no copy when they already are), so any ``StateVector`` works.
     """
     out = validate_outcome(outcome, len(outcome))
     n = len(out)
@@ -208,96 +240,136 @@ class CrossCheckReport:
     passed: bool
 
 
+@dataclass(frozen=True)
+class VerificationReport:
+    """Every check ``verify_instance`` makes of one instance.
+
+    ``oracle`` is its ``cross_check`` report; ``completeness`` |sum(p) - 1|,
+    summed left to right in outcome order; ``reconstruction`` the largest
+    |sum_r |Bell_r> (x) sqrt(p_r) c_r - S| for the normalized collapsed
+    states c_r, NaN when any term is; ``min_fidelity`` the smallest recovery
+    fidelity of an outcome of positive probability, NaN when not computed.
+    Recovery is skipped when ``non_invertible`` names pairs of |det| at or
+    below ``tol_inv``, and fails on ``recovery_overflow``: W, the tensor
+    product of the pair inverses, leaves the float range.  ``verdicts`` pairs
+    each check's name with PASS, FAIL or SKIP; ``passed`` is False on a FAIL.
+    """
+
+    oracle: CrossCheckReport
+    completeness: float
+    reconstruction: float
+    min_fidelity: float
+    non_invertible: tuple[int, ...]
+    recovery_overflow: bool
+    verdicts: tuple[tuple[str, str], ...]
+    passed: bool
+
+
 def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
     """Compare every outcome's block prediction against the projected residual.
 
-    The oracle's residuals come from one pass per pair over the joint state
-    in measurement order, a quarter of the outcomes at a time: those that
-    share the first pair's result.  The predictions come chunk by chunk and
-    are compared against the quarter they fall in, so the (4^N, 2^N) table is
-    never held.  The projection runs as real matrix products of the real
-    Bell bras with the state's float view, and its passes alternate between
-    two float buffers, each a quarter of the state, allocated once per call;
-    each chunk of predictions is subtracted from its residual rows in place,
-    and the chunk's magnitudes go into the buffer the quarter's last pass
-    did not write, for one flat argmax.  Memory holds the 16 * 8^N-byte
-    state, the two buffers, and the predictions' shared level and chunk
-    buffer, each at most 4^4 predicted rows: about 400 MB at N = 8.
-    ``worst_outcome`` is the first outcome in lexicographic order that
-    reaches ``max_abs_diff``, or the first whose difference is NaN.  ``tol``
-    must be a finite number >= 0, or ValueError is raised before any state
-    is built.
+    The state is turned into every outcome's residual in place, and the
+    predictions are compared with their rows chunk by chunk.  Memory holds
+    the 16 * 8^N-byte state and, while it is built, its last step, a quarter
+    of its size; then a 256 KiB slab and chunks of 4^4 predicted rows: about
+    340 MB at N = 8.  ``worst_outcome`` is the first outcome in lexicographic
+    order that reaches ``max_abs_diff``, or the first whose difference is
+    NaN.  ``tol`` must be a finite number >= 0, or ValueError is raised
+    before any state is built.
     """
-    return _cross_check(inst, None, tol)
+    return _oracle_pass(inst, tol)
 
 
-def _cross_check(
-    inst: TeleportationInstance, rs: np.ndarray | None, tol: float
-) -> CrossCheckReport:
-    """``cross_check``, against ``rs`` when given: ``_measurement_state(inst)``,
-    which CLI ``verify`` shares with the reconstruction check."""
-    tol = _valid_tol(tol)
-    if rs is None:
-        rs = _measurement_state(inst)
+def verify_instance(
+    inst: TeleportationInstance,
+    tol_eq: float = DEFAULT_EQ_TOL,
+    tol_inv: float = DEFAULT_INVERTIBILITY_TOL,
+) -> VerificationReport:
+    """The oracle, completeness, reconstruction and recovery checks of CLI ``verify``.
+
+    One ``cross_check`` pass, on chunks of 4^5 rows, makes each prediction
+    once for every check.  ``tol_eq`` bounds the oracle, completeness and
+    reconstruction figures and 1 - ``min_fidelity``; ``tol_inv`` is the pair
+    invertibility tolerance.  Each must be a finite number >= 0, or
+    ValueError is raised before any state is built.
+    """
+    return _oracle_pass(inst, tol_eq, tol_inv)
+
+
+def _oracle_pass(inst: TeleportationInstance, tol_eq: float, tol_inv: float | None = None):
+    """``cross_check``'s report, or given ``tol_inv``, ``verify_instance``'s.
+
+    The state S becomes R, and each chunk of predictions c is compared with
+    its rows: the largest |R - c| and its first flat argmax, through one
+    complex and one float chunk buffer.  A later chunk must be strictly
+    larger, and the first NaN stands.  Given ``tol_inv``, the rows are then
+    normalized in place, their probabilities summed left to right, their
+    fidelities minimized past NaN (zero probability), and sqrt(p) c - R
+    overwrites R's rows; R then turns back into U^T P - S.
+    """
+    tol_eq = _valid_tol(tol_eq)
+    verify = tol_inv is not None
+    bad = _non_invertible_pairs(inst, tol_inv) if verify else ()
+    state = _measurement_state(inst)
+    overflow = verify and not bad and inst._recovery_matrix is None
+    recovery = verify and not (bad or overflow)
+    _transform(state, _BELL_BRAS)
     n = inst.num_qubits
-    quarter = 4 ** (n - 1)
-    buffers = (np.empty(rs.size // 2), np.empty(rs.size // 2))  # a quarter of rs, in floats
+    residuals = state.reshape(4**n, -1)
+    # Recovery reads the table's chunks; the comparison alone takes smaller ones.
+    pairs = _TABLE_PAIRS if verify else _CHECK_PAIRS
+    scratch = np.empty((_chunk_rows(n, pairs), 1 << n), dtype=np.complex128)
+    magnitudes = np.empty(scratch.shape)
+    frames = _chunk_frames(inst.input_state.amps.conj()) if recovery else None
     max_diff, worst = -1.0, 0
-    for rows, predicted in _outcome_chunks(inst):
-        r, start = divmod(rows.start, quarter)
-        if start == 0:
-            residuals = _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1), buffers)
-            # The last pass wrote into buffers[(n - 1) % 2]; the other is free until
-            # the next quarter's projection and takes each chunk's magnitudes.
-            spare = buffers[n % 2]
-        diff = residuals[start : start + len(predicted)]
-        diff -= predicted
-        magnitudes = np.abs(diff, out=spare[: diff.size].reshape(diff.shape))
-        # Row-major argmax names the first row that reaches the chunk's largest
-        # difference, or its first NaN; a later chunk must be strictly larger.
+    total, min_fidelity = 0.0, math.nan
+    for rows, predicted in _outcome_chunks(inst, None, pairs):
+        r = residuals[rows]
+        np.abs(np.subtract(r, predicted, out=scratch), out=magnitudes)
         k = int(np.argmax(magnitudes))
         value = float(magnitudes.flat[k])
-        if value > max_diff or math.isnan(value):
-            max_diff, worst = value, rows.start + k // diff.shape[1]
-            if math.isnan(value):
-                break  # the first NaN is reported, as argmax over every row would
-    return CrossCheckReport(
+        if not (value <= max_diff or math.isnan(max_diff)):
+            max_diff, worst = value, rows.start + k // magnitudes.shape[1]
+        if not verify:
+            continue
+        probs = _normalize_rows(predicted)
+        total = sum(probs.tolist(), total)
+        if recovery:
+            fids = _fidelity_rows(inst, predicted, next(frames)[1], scratch)
+            min_fidelity = float(np.fmin.reduce(fids, initial=min_fidelity))
+        np.multiply(predicted, np.sqrt(probs)[:, None], out=scratch)
+        np.subtract(scratch, r, out=r)
+    oracle = CrossCheckReport(
         num_qubits=n,
         convention=inst.convention,
         num_outcomes=4**n,
         max_abs_diff=max_diff,
         worst_outcome=tuple(int(d) + 1 for d in np.unravel_index(worst, (4,) * n)),
-        tolerance=tol,
-        passed=max_diff <= tol,
+        tolerance=tol_eq,
+        passed=max_diff <= tol_eq,
     )
-
-
-def _reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
-    """Max |sum over outcomes of Bell states (x) collapsed states - rearranged joint state|.
-
-    ``rearranged`` holds the joint state's amplitudes in measurement order,
-    as ``_measurement_state`` builds them.  The sum runs through ``_project``
-    one pair at a time: with the four Bell states as the columns of its
-    (4, 4) "bras", contracting pair i's result axis turns it into that pair's
-    two measured qubits.  The Bell states are real, so these columns are the
-    transposed ``_BELL_BRAS``.  Every amplitude depends on one receiver column of
-    the table only, so the table is scaled and summed ``_RECONSTRUCTION_COLUMNS``
-    columns at a time and compared with the same columns of the state: no
-    full-size array is held beyond the state and the table.  Every slice's
-    passes reuse the same two float buffers.
-    """
-    kets = _BELL_BRAS.T
-    rows, cols = table.collapsed.shape
-    n = cols.bit_length() - 1
-    state = rearranged.reshape(rows, cols)
-    scale = np.sqrt(table.probabilities)[:, None]
-    size = 2 * rows * min(cols, _RECONSTRUCTION_COLUMNS)  # floats in one slice
-    buffers = (np.empty(size), np.empty(size))
-    diff = 0.0
-    for c in range(0, cols, _RECONSTRUCTION_COLUMNS):
-        part = slice(c, c + _RECONSTRUCTION_COLUMNS)
-        rebuilt = _project(table.collapsed[:, part] * scale, [kets] * n, buffers)
-        rebuilt -= state[:, part]
-        # np.maximum, unlike max(), carries a NaN of any slice through to the result.
-        diff = np.maximum(diff, np.abs(rebuilt).max())
-    return float(diff)
+    if not verify:
+        return oracle
+    _transform(state, _BELL_BRAS.T)
+    # np.maximum, unlike max(), carries a NaN of any block through to the result.
+    reconstruction = 0.0
+    for block in state.reshape(-1, magnitudes.size):
+        reconstruction = np.maximum(reconstruction, np.abs(block, out=magnitudes.reshape(-1)).max())
+    completeness, reconstruction = abs(total - 1.0), float(reconstruction)
+    verdict = {True: "PASS", False: "FAIL"}
+    verdicts = (
+        ("oracle-equivalence", verdict[oracle.passed]),
+        ("completeness", verdict[completeness <= tol_eq]),
+        ("reconstruction", verdict[reconstruction <= tol_eq]),
+        ("recovery-fidelity", "SKIP" if bad else verdict[min_fidelity >= 1.0 - tol_eq]),
+    )
+    return VerificationReport(
+        oracle=oracle,
+        completeness=completeness,
+        reconstruction=reconstruction,
+        min_fidelity=min_fidelity,
+        non_invertible=bad,
+        recovery_overflow=overflow,
+        verdicts=verdicts,
+        passed=all(v != "FAIL" for _, v in verdicts),
+    )

@@ -14,7 +14,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .decomposition import (
     NotInvertibleError,
     PairingConvention,
     _coefficient_matrix,
+    _inverse_product,
     _invertible,
     inverse_pair_blocks,
     is_proportional_to_unitary,
@@ -136,22 +137,31 @@ class TeleportationInstance:
 
         Entry [:, 0] is every pair's M^-1 transposed, since sigma_1 = I.
         Callers first check every determinant with ``_invertible`` at their
-        tolerance >= 0, so none is 0 and the check at 0 here never fails.
+        tolerance >= 0, so none is 0; NotInvertibleError names a pair whose
+        M^-1 still leaves the float range.
         """
-        stacks = [inverse_pair_blocks(p, self.convention, 0.0) for p in self.channel.pairs]
+        stacks = []
+        for i, p in enumerate(self.channel.pairs, start=1):
+            try:
+                stacks.append(inverse_pair_blocks(p, self.convention, 0.0))
+            except NotInvertibleError as exc:
+                raise NotInvertibleError(f"pair {i}: {exc}", pair_indices=(i,)) from None
         return _copy_as(np.stack(stacks), (0, 1, 3, 2))[..., None]
 
     @cached_property
-    def _recovery_matrix(self) -> np.ndarray:
+    def _recovery_matrix(self) -> np.ndarray | None:
         """W^T, where W = M_1^-1 (x) ... (x) M_N^-1 is every outcome's shared inverse
-        in ``_recovery_fidelities``: 16 * 4^N bytes, 1 MiB at N = 8.
+        in ``_fidelity_rows``: 16 * 4^N bytes, 1 MiB at N = 8; None past the float range.
 
         Built from ``_inverse_step_blocks``, so only once a caller's
         invertibility check has passed.  The M_i^-1 are copied C-ordered, so
         W^T is Fortran-ordered at N = 1 too.
         """
         inverses = _copy_as(self._inverse_step_blocks[:, 0, :, :, 0], (0, 2, 1))
-        return _read_only(reduce(np.kron, inverses).T)
+        try:
+            return _read_only(_inverse_product(inverses).T)
+        except NotInvertibleError:
+            return None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -264,7 +274,7 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
 
     Equals (1/sqrt2)^N times the outcome's block tensor product applied to the
     input amplitudes; its squared norm is the Born probability of the outcome.
-    Row k of ``_outcome_table`` is this for the k-th outcome.
+    Row k of the chunks ``_outcome_chunks`` yields is this for the k-th outcome.
     """
     n = inst.num_qubits
     out = validate_outcome(outcome, n)
@@ -393,14 +403,10 @@ class OutcomeRecord:
 # fewer, larger calls.
 _TABLE_PAIRS = 5
 
-# The comparator's chunks (``oracle._cross_check``) cover the last
-# _CHECK_PAIRS pairs, 1 MiB at N = 8, and so does the level of the first
-# _CHECK_PAIRS pairs they share up to N = 8: one chunk.  Its buffers are
-# allocated and freed on every call.  With 1 MiB chunks cross_check at N = 6
-# took 1,100 to 2,300 minor page faults per call, as the freed heap went back
-# to the kernel each time, and 10.4-12.4 ms against 8.6-9.9 ms with 4^4-row
-# chunks, whose calls took a median of 0 (2-CPU Xeon, glibc malloc, 60 calls
-# per process).
+# ``cross_check``'s chunks cover the last _CHECK_PAIRS pairs, 1 MiB at N = 8,
+# and so does the level they share up to N = 8.  On 4^5-row chunks its calls
+# at N = 6 took about 1,570 minor page faults each, as the freed heap went
+# back to the kernel, and ``verify-n6`` ran 1-11 % slower (2-CPU Xeon, glibc).
 _CHECK_PAIRS = 4
 
 # sigma_r as a signed permutation, entries 0 and +-1 (-iY is real): row j of
@@ -478,23 +484,24 @@ def _outcome_chunks(
         yield rows, chunk[0]
 
 
-def _outcome_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized collapsed states of all 4^N outcomes and their Born probabilities.
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide collapsed states, the rows of ``rows``, by their norms in place, and
+    return their squared norms, the Born probabilities.
 
-    Row k of the (4^N, 2^N) table is ``collapsed_state`` of the k-th outcome in
-    lexicographic order.  The last pair's contraction of each chunk of rows
-    writes them in place.
+    numpy divides a complex (re, im) by a real s as (re + im * 0, im - re * 0)
+    times 1 / s.  The zero terms only set the signs of zero parts, so when no
+    part is zero one multiply by the reciprocal gives the same bits at about
+    two thirds of the cost.  Rows of zero probability come out NaN, zeroed.
     """
-    n = inst.num_qubits
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"refusing to enumerate 4**{n} outcomes (cap is {ENUMERATION_CAP} qubits)"
-        )
-    table = np.empty((4**n, 1 << n), dtype=np.complex128)
-    for _ in _outcome_chunks(inst, table, _TABLE_PAIRS):
-        pass
-    flat = table.view(np.float64)
-    return table, np.einsum("ij,ij->i", flat, flat)
+    flat = rows.view(np.float64)
+    probs = np.einsum("ij,ij->i", flat, flat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if flat.all():
+            flat *= (1.0 / np.sqrt(probs))[:, None]
+        else:
+            rows /= np.sqrt(probs)[:, None]
+    rows[probs == 0.0] = 0.0
+    return probs
 
 
 def _pauli_frame(results: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -556,42 +563,34 @@ def _chunk_frames(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
         yield rows, out.reshape(len(out), -1)
 
 
-def _recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> np.ndarray:
-    """Fidelity to the input of every row of ``collapsed`` after its inverse blocks.
+def _fidelity_rows(
+    inst: TeleportationInstance, collapsed: np.ndarray, framed: np.ndarray, z: np.ndarray
+) -> np.ndarray:
+    """Fidelity to the input of each of a chunk's collapsed states c_r after its inverse.
 
-    The rows are the 4^N outcomes' collapsed states c_r in lexicographic
-    order.  Outcome r's inverse is Sigma_r^-1 W: W, the tensor product of
-    every pair's M^-1, is the same for all outcomes, and Sigma_r, the tensor
-    product of the sigma_{r_i}, is a real signed permutation.  So the
-    recovered state Sigma_r^-1 W c_r has the overlap with x and the norm that
-    W c_r has with Sigma_r x, and no per-outcome inverse is applied: each
-    chunk of rows is multiplied by W^T in one matrix product, and each row of
-    the product is read against the input in its own outcome's frame.  Rows
-    of zero norm give NaN.  The caller has checked that every pair is
-    invertible.  W^T is kept by the instance (``_recovery_matrix``) and the
-    frames' gather index per N (``_frame_gather``); the frames, products and
-    fidelities are built on every call.
+    ``framed`` holds the chunk's ``_chunk_frames`` of the conjugated input;
+    it and ``z``, scratch of the chunk's shape, are overwritten.  Outcome r's
+    inverse is Sigma_r^-1 W: W, the tensor product of every M^-1, is shared,
+    and Sigma_r, the tensor product of the sigma_{r_i}, is a real signed
+    permutation.  So Sigma_r^-1 W c_r has the overlap with x and the norm
+    that W c_r has with Sigma_r x: one product with W^T serves the chunk,
+    each row read in its outcome's frame.  Rows of zero norm give NaN.  The
+    caller has checked that the pairs are invertible and W finite.
     """
-    n = inst.num_qubits
-    w_t = inst._recovery_matrix
     x2 = inst.input_state.squared_norm()
-    fid = np.empty(4**n)
-    z = np.empty((_chunk_rows(n, _TABLE_PAIRS), 1 << n), dtype=np.complex128)
     flat = z.view(np.float64)
-    for rows, framed in _chunk_frames(inst.input_state.amps.conj()):
-        np.matmul(collapsed[rows], w_t, out=z)
-        overlap = np.einsum("ij,ij->i", framed, z)
-        # F = on / (on + off): on and off are the squared norms of the parts of
-        # Z along and off Sigma_r x.  Taking off from the residual keeps 1 - F
-        # accurate when F is near 1, where |overlap|^2 / |Z|^2 loses it.
-        on = (overlap.real**2 + overlap.imag**2) / x2
-        np.conjugate(z, out=z)
-        framed *= (overlap.conj() / x2)[:, None]
-        z -= framed
-        off = np.einsum("ij,ij->i", flat, flat)
-        with np.errstate(invalid="ignore"):
-            fid[rows] = on / (on + off)
-    return fid
+    np.matmul(collapsed, inst._recovery_matrix, out=z)
+    overlap = np.einsum("ij,ij->i", framed, z)
+    # F = on / (on + off): on and off are the squared norms of the parts of
+    # Z along and off Sigma_r x.  Taking off from the residual keeps 1 - F
+    # accurate when F is near 1, where |overlap|^2 / |Z|^2 loses it.
+    on = (overlap.real**2 + overlap.imag**2) / x2
+    np.conjugate(z, out=z)
+    framed *= (overlap.conj() / x2)[:, None]
+    z -= framed
+    off = np.einsum("ij,ij->i", flat, flat)
+    with np.errstate(invalid="ignore"):
+        return on / (on + off)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,8 +601,9 @@ class OutcomeTable(Sequence[OutcomeRecord]):
     per-pair results.  ``collapsed`` (4^N, 2^N) holds the normalized collapsed
     states, with zero rows where the probability is 0.  ``fidelities`` is NaN
     where recovery is undefined: zero probability, a non-invertible channel,
-    or recovery not computed.  As a sequence it yields one ``OutcomeRecord``
-    per row, built on demand; indices are integers, negative ones included.
+    a recovery transform past the float range, or recovery not computed.
+    As a sequence it yields one ``OutcomeRecord`` per row, built on demand;
+    indices are integers, negative ones included.
     """
 
     probabilities: np.ndarray
@@ -651,27 +651,25 @@ def enumerate_outcomes(
 
     For a normalized instance the probabilities sum to 1 up to float error.
     The collapsed states take 16 * 8^N bytes; every record's ``collapsed``
-    amplitudes are a row view of that one array.  ``tol`` must be a finite
-    number >= 0, or ValueError is raised before any state is built.
+    amplitudes are a row view of that one array.  Each chunk is normalized
+    as it is built; recovery runs after the build has freed its buffers.
+    ``tol`` must be a finite number >= 0, or ValueError is raised before any
+    state is built.
     """
+    n = inst.num_qubits
     invertible = not _non_invertible_pairs(inst, tol)
-    table, probs = _outcome_table(inst)
-    # numpy divides a complex (re, im) by a real s as (re + im * 0, im - re * 0)
-    # times 1 / s.  The zero terms only set the signs of zero parts, so when
-    # no part is zero one multiply by the reciprocal gives the same bits at
-    # about two thirds of the cost.  Rows of zero probability come out
-    # 0/0 = NaN and are zeroed.
-    flat = table.view(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if flat.all():
-            flat *= (1.0 / np.sqrt(probs))[:, None]
-        else:
-            table /= np.sqrt(probs)[:, None]
-    table[probs == 0.0] = 0.0
-    if compute_recovery and invertible:
-        fids = _recovery_fidelities(inst, table)
-    else:
-        fids = np.full(len(table), np.nan)
+    if n > ENUMERATION_CAP:
+        raise ValueError(
+            f"refusing to enumerate 4**{n} outcomes (cap is {ENUMERATION_CAP} qubits)"
+        )
+    table = np.empty((4**n, 1 << n), dtype=np.complex128)
+    probs, fids = np.empty(4**n), np.full(4**n, np.nan)
+    for rows, chunk in _outcome_chunks(inst, table, _TABLE_PAIRS):
+        probs[rows] = _normalize_rows(chunk)
+    if compute_recovery and invertible and inst._recovery_matrix is not None:
+        z = np.empty((_chunk_rows(n, _TABLE_PAIRS), 1 << n), dtype=np.complex128)
+        for rows, framed in _chunk_frames(inst.input_state.amps.conj()):
+            fids[rows] = _fidelity_rows(inst, table[rows], framed, z)
     for a in (probs, table, fids):
         a.flags.writeable = False
     return OutcomeTable(probs, table, fids, invertible)

@@ -21,7 +21,7 @@ PUBLIC = {
     "inverse_sub_matrix", "is_proportional_to_unitary", "joint_state", "pair_determinant",
     "random_channel", "random_instance", "random_pair", "random_state",
     "rearrange_for_measurement", "recover", "sample_outcome", "sub_matrix",
-    "validate_outcome", "__version__",
+    "validate_outcome", "VerificationReport", "verify_instance", "__version__",
 }
 
 # Exported by a module but not by the package: the CLI's entry point.
@@ -104,11 +104,15 @@ def test_every_private_module_level_name_is_used():
 
 
 # The names of decomposition and protocol that carry no block arithmetic: the
-# instance, the convention and the outcome type and its check.
-ORACLE_MAY_USE = {"TeleportationInstance", "PairingConvention", "BellOutcome", "validate_outcome"}
+# instance, the convention, the outcome type and its check, and the default
+# invertibility tolerance.
+ORACLE_MAY_USE = {
+    "TeleportationInstance", "PairingConvention", "BellOutcome", "validate_outcome",
+    "DEFAULT_INVERTIBILITY_TOL",
+}
 
-# The oracle functions that read block predictions, to compare them.
-COMPARATORS = {"_cross_check", "_reconstruction_diff"}
+# The one oracle function that reads block predictions, to compare them.
+COMPARATOR = "_oracle_pass"
 
 
 def _module_tree(name: str) -> ast.Module:
@@ -129,26 +133,43 @@ def _names_read(node: ast.AST) -> set[str]:
 
 
 def test_the_oracle_uses_no_block_code():
-    """Outside the comparators, nothing in the oracle reaches decomposition or protocol
-    beyond the instance types, and only ``_cross_check`` reads the predicted outcome table."""
+    """Outside the comparison, nothing in the oracle reaches decomposition or protocol
+    beyond the instance types, and only ``_oracle_pass`` reads the predictions."""
     block_side = (
         _defined_names(_module_tree("decomposition")) | _defined_names(_module_tree("protocol"))
     ) - ORACLE_MAY_USE
     assert {
-        "SIGMA", "pair_blocks", "_contract_pair", "_outcome_table", "_outcome_chunks"
+        "SIGMA", "pair_blocks", "_contract_pair", "_outcome_chunks", "_normalize_rows",
+        "_fidelity_rows", "_chunk_frames",
     } <= block_side
     body = [
         (getattr(node, "name", f"line {node.lineno}"), node)
         for node in _module_tree("oracle").body
         if not isinstance(node, (ast.Import, ast.ImportFrom))
     ]
-    guarded = [(name, node) for name, node in body if name not in COMPARATORS]
+    guarded = [(name, node) for name, node in body if name != COMPARATOR]
     assert {
-        "joint_state", "rearrange_for_measurement", "_measurement_state", "bell_project",
-        "_project", "cross_check",
+        "joint_state", "rearrange_for_measurement", "_measurement_state", "_transform",
+        "bell_project", "_project", "cross_check", "verify_instance",
     } <= {name for name, _ in guarded}
     reached = {name: sorted(_names_read(node) & block_side) for name, node in guarded}
     assert {name: used for name, used in reached.items() if used} == {}
-    assert [name for name, node in body if "_outcome_chunks" in _names_read(node)] == [
-        "_cross_check"
+    assert [name for name, node in body if "_outcome_chunks" in _names_read(node)] == [COMPARATOR]
+
+
+def test_the_cli_runs_no_oracle_code_of_its_own():
+    """``cli`` imports only public names from ``oracle``, and ``verify`` takes every
+    figure from ``verify_instance``: it builds no outcome table."""
+    tree = _module_tree("cli")
+    imported = [
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracle"
+        for a in node.names
     ]
+    assert "verify_instance" in imported
+    assert [name for name in imported if name.startswith("_")] == []
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "verify_instance" in _names_read(functions["cmd_verify"])
+    for name in ("cmd_verify", "_verify_lines"):
+        assert "enumerate_outcomes" not in _names_read(functions[name]), name

@@ -520,6 +520,74 @@ class TestVerify:
         assert out_file.read_text() == out
 
 
+# With --tol-inv=0 these pairs pass the invertibility test.  Two TINY pairs have
+# finite inverses whose tensor product leaves the float range; SUBNORMAL's own
+# inverse does, its determinant being subnormal.
+TINY = [1e-160 + 0j, 0j, 0j, 1 + 0j]
+SUBNORMAL = [1 + 0j, 0j, 0j, 1e-309 + 0j]
+
+
+class TestInversesPastTheFloatRange:
+    """Each ran into numpy's overflow warnings and printed inf or NaN figures."""
+
+    @staticmethod
+    def run(capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        return code, captured.out, captured.err
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        state = write_state(tmp_path / "s.json", 2, [0.5 + 0j] * 4)
+        return state, write_channel(tmp_path / "c.json", [TINY, TINY])
+
+    @pytest.fixture
+    def subnormal(self, tmp_path):
+        state = write_state(tmp_path / "s.json", 1, [0.6 + 0j, 0.8j])
+        return state, write_channel(tmp_path / "c.json", [SUBNORMAL])
+
+    def test_verify_fails_recovery_naming_the_overflow(self, capsys, tiny):
+        state, channel = tiny
+        code, out, _ = self.run(capsys, ["verify", "--state", state, "--channel", channel, "--tol-inv=0"])
+        lines = out.splitlines()
+        assert code == 1 and lines[-1] == "result: FAIL"
+        assert "check recovery-fidelity: FAIL (the tensor product of the pair inverses leaves the float range)" in lines
+        assert sum(line.startswith("check ") and ": PASS (" in line for line in lines) == 3
+
+    def test_decompose_reports_no_inverse(self, capsys, tiny):
+        _, channel = tiny
+        argv = ["decompose", "--channel", channel, "--outcome", "11", "--tol-inv=0"]
+        code, out, _ = self.run(capsys, argv)
+        assert code == 0 and "inf" not in out
+        assert "inverse: not available (the tensor product of the pair inverses leaves the float range)" in out
+
+    def test_teleport_still_recovers(self, capsys, tiny):
+        state, channel = tiny
+        argv = ["teleport", "--state", state, "--channel", channel, "--tol-inv=0"]
+        code, out, _ = self.run(capsys, argv)
+        assert code == 0
+        assert float(out.splitlines()[-1].removeprefix("fidelity to input: ")) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("command", ["verify", "teleport"])
+    def test_a_pair_inverse_past_the_float_range_is_not_invertible(self, capsys, subnormal, command):
+        state, channel = subnormal
+        argv = [command, "--state", state, "--channel", channel, "--tol-inv=0"]
+        code, _, err = self.run(capsys, argv)
+        assert code == 3
+        assert err.startswith("error: pair 1: the inverse of a pair of determinant magnitude 1.000e-309 ")
+        assert "leaves the float range" in err
+
+    def test_decompose_reports_the_pair_inverse(self, capsys, subnormal):
+        _, channel = subnormal
+        argv = ["decompose", "--channel", channel, "--outcome", "1", "--tol-inv=0"]
+        code, out, _ = self.run(capsys, argv)
+        assert code == 0 and "inf" not in out
+        assert "inverse: not available (the inverse of a pair of determinant magnitude" in out
+
+
 class TestSweep:
     def test_csv_schema(self, one_qubit, capsys):
         state, channel = one_qubit
@@ -909,10 +977,10 @@ def test_every_input_ends_in_an_exit_code(data):
     """``main`` returns 0-3 and raises nothing, stderr holds no traceback, and only
     verify exits 1.  A 400-digit number or a 2000-deep file raised out of ``main``.
 
-    Warnings are recorded, not raised, as a process would print them.  The one
-    kind seen is numpy's, when --tol-inv=0 passes a pair whose determinant is
-    so small that its inverse blocks, or their products, pass the float range:
-    overflow, then NaN recovery fidelities.
+    Warnings are recorded, not raised, as a process would print them, and none
+    may appear.  The one kind once seen was numpy's, when --tol-inv=0 passed a
+    pair whose determinant is so small that its inverse blocks, or their
+    products, pass the float range: overflow, then NaN recovery fidelities.
     """
     n = data.draw(st.integers(min_value=1, max_value=3), label="n")
     with tempfile.TemporaryDirectory() as tmp:
@@ -929,4 +997,4 @@ def test_every_input_ends_in_an_exit_code(data):
     assert code in (0, 1, 2, 3)
     assert code != 1 or argv[0] == "verify"
     assert "Traceback" not in err.getvalue()
-    assert not caught or "--tol-inv=0" in argv and {w.category for w in caught} == {RuntimeWarning}
+    assert [str(w.message) for w in caught] == []

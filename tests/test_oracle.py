@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from belldecomp import (
-    DEFAULT_EQ_TOL,
     Channel,
     EntangledPair,
-    OutcomeTable,
     PairingConvention,
     StateVector,
     TeleportationInstance,
@@ -24,17 +22,12 @@ from belldecomp import (
     random_instance,
     random_state,
     rearrange_for_measurement,
+    verify_instance,
 )
 from belldecomp import oracle
-from belldecomp.oracle import (
-    _BELL_BRAS,
-    ORACLE_CAP,
-    _cross_check,
-    _measurement_state,
-    _project,
-    _reconstruction_diff,
-)
-from belldecomp.protocol import _chunks, _outcome_table
+from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _measurement_state, _project, _transform
+from belldecomp.protocol import _CHECK_PAIRS, _TABLE_PAIRS, _chunks
+from test_protocol import raw_table
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
 BHS = PairingConvention.BOB_HOLDS_SECOND
@@ -78,7 +71,7 @@ class TestJointState:
         state = StateVector(n, np.eye(1 << n)[0])
         ch = Channel(tuple(mes_pair() for _ in range(n)))
         inst = TeleportationInstance(state, ch, BHS)
-        for build in (joint_state, _measurement_state, cross_check):
+        for build in (joint_state, _measurement_state, cross_check, verify_instance):
             with pytest.raises(ValueError, match=f"supports at most {ORACLE_CAP} qubit"):
                 build(inst)
 
@@ -195,6 +188,10 @@ def outcomes(n: int):
     return list(itertools.product((1, 2, 3, 4), repeat=n))
 
 
+# The comparison alone, and as part of every check.
+CHECKS = [cross_check, lambda inst: verify_instance(inst).oracle]
+
+
 def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
     """Max |diff| and the first outcome reaching it, one ``bell_project`` per outcome.
 
@@ -213,17 +210,21 @@ def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int
 
 class TestProjectAllOutcomes:
     def test_rows_match_bell_project(self):
+        """The rows of the transformed state, and of ``_project`` with all four bras per
+        pair, are each outcome's ``bell_project``."""
         rng = np.random.default_rng(86)
         for n in (1, 2, 3, 4):
             for conv in (BHF, BHS):
                 inst = random_instance(n, rng, conv)
                 rs = rearrange_for_measurement(joint_state(inst), inst)
-                table = _project(rs.amps, [_BELL_BRAS] * n)
-                assert table.shape == (4**n, 1 << n)
-                for row, out in zip(table, outcomes(n)):
-                    np.testing.assert_allclose(
-                        row, bell_project(rs, out).amps, rtol=0, atol=1e-15
-                    )
+                residuals = _measurement_state(inst)
+                _transform(residuals, _BELL_BRAS)
+                for table in (_project(rs.amps, [_BELL_BRAS] * n), residuals.reshape(4**n, -1)):
+                    assert table.shape == (4**n, 1 << n)
+                    for row, out in zip(table, outcomes(n)):
+                        np.testing.assert_allclose(
+                            row, bell_project(rs, out).amps, rtol=0, atol=1e-15
+                        )
 
     def test_cross_check_matches_the_per_outcome_loop(self):
         rng = np.random.default_rng(87)
@@ -234,7 +235,8 @@ class TestProjectAllOutcomes:
                 assert (report.max_abs_diff, report.worst_outcome) == reference_cross_check(inst)
                 assert report.passed and report.max_abs_diff <= 1e-12
 
-    def test_ties_go_to_the_first_outcome(self, monkeypatch):
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_ties_go_to_the_first_outcome(self, monkeypatch, check):
         """Two rows miss by the same amount; the earlier one is named.  Rows 21 and 50
         lie in different chunks; rows 27 and 28 in one, row 28's miss in an earlier
         column than row 27's."""
@@ -248,11 +250,12 @@ class TestProjectAllOutcomes:
             predicted = exact.copy()
             predicted[[first, second]] = 0.0
             patch_predictions(monkeypatch, predicted)
-            report = cross_check(inst)
+            report = check(inst)
             assert report.worst_outcome == outcomes(n)[first] == reference_cross_check(inst)[1]
             assert report.max_abs_diff == float(np.abs(exact[first]).max()) > 0.0
 
-    def test_a_nan_is_reported_at_the_first_row_that_holds_one(self, monkeypatch):
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_a_nan_is_reported_at_the_first_row_that_holds_one(self, monkeypatch, check):
         """Rows 21 and 50, in different chunks, hold NaN, after row 5 misses by 1.0."""
         n = 3
         inst = random_instance(n, np.random.default_rng(89), BHS)
@@ -260,7 +263,7 @@ class TestProjectAllOutcomes:
         predicted[5, 0] += 1.0
         predicted[21, 3] = predicted[50, 0] = np.nan
         patch_predictions(monkeypatch, predicted)
-        report = cross_check(inst)
+        report = check(inst)
         assert np.isnan(report.max_abs_diff) and report.passed is False
         assert report.worst_outcome == outcomes(n)[21]
 
@@ -272,12 +275,14 @@ def exact_residuals(inst: TeleportationInstance) -> np.ndarray:
 
 
 def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
-    """Make ``cross_check`` read its predictions from the rows of ``predicted``, in the
-    comparator's chunks."""
+    """Make the oracle read its predictions from copies of the rows of ``predicted``,
+    in the chunks it asks for."""
     n = predicted.shape[1].bit_length() - 1
-    monkeypatch.setattr(
-        oracle, "_outcome_chunks", lambda _: ((rows, predicted[rows]) for rows, _ in _chunks(n))
-    )
+
+    def chunks(inst, table=None, pairs=_CHECK_PAIRS):
+        return ((rows, predicted[rows].copy()) for rows, _ in _chunks(n, pairs))
+
+    monkeypatch.setattr(oracle, "_outcome_chunks", chunks)
 
 
 # The conjugated Bell amplitudes as complex bras, as the projection used them
@@ -311,7 +316,7 @@ def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[i
     joint state projected by ``complex_project`` against the whole predicted table."""
     n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
-    predicted, _ = _outcome_table(inst)
+    predicted, _ = raw_table(inst)
     row_diff = np.abs(complex_project(rs.amps, n) - predicted).max(axis=1)
     worst = int(np.argmax(row_diff))
     return float(row_diff[worst]), outcomes(n)[worst]
@@ -333,29 +338,33 @@ class TestFloatViewProjection:
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_residuals_equal_the_complex_products(self, n, conv):
-        """Whole table, and the quarters ``cross_check`` projects into its two buffers."""
+        """The state transformed in place, and ``_project``'s new arrays, bit for bit."""
         rng = np.random.default_rng(140 + n)
         inst = random_instance(n, rng, conv)
         for case in (inst, with_product_pair(inst), with_phased_input(inst)):
             rs = _measurement_state(case)
             expected = complex_project(rs, n)
-            assert np.array_equal(_project(rs, [_BELL_BRAS] * n), expected)
-            buffers = (np.empty(rs.size // 2), np.empty(rs.size // 2))
-            quarters = [
-                _project(rs, [_BELL_BRAS[r : r + 1]] + [_BELL_BRAS] * (n - 1), buffers).copy()
-                for r in range(4)
-            ]
-            assert np.array_equal(np.concatenate(quarters), expected)
+            assert np.array_equal(bits(_project(rs, [_BELL_BRAS] * n)), bits(expected))
+            _transform(rs, _BELL_BRAS)
+            assert np.array_equal(bits(rs), bits(expected.reshape(-1)))
 
-    def test_passes_alternate_between_the_buffers(self):
-        n = 3
-        rs = _measurement_state(random_instance(n, np.random.default_rng(147), BHS))
-        buffers = (np.full(rs.size // 2, np.nan), np.full(rs.size // 2, np.nan))
-        bras = [_BELL_BRAS[2:3]] + [_BELL_BRAS] * (n - 1)
-        got = _project(rs, bras, buffers)
-        assert np.shares_memory(got, buffers[(n - 1) % 2])
-        assert not np.isnan(buffers[0]).any() and not np.isnan(buffers[1]).any()
-        assert np.array_equal(got, _project(rs, bras))
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_the_transform_works_in_place_through_one_slab(self, n):
+        """It allocates the ``_SLAB``-float slab and nothing the size of the state, and
+        the transposed bras turn the residuals back into the state: U is orthogonal."""
+        inst = random_instance(n, np.random.default_rng(147), BHS)
+        state = _measurement_state(inst)
+        amps = state.copy()
+        tracemalloc.start()
+        try:
+            _transform(amps, _BELL_BRAS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _SLAB + 4096
+        assert not np.array_equal(amps, state)
+        _transform(amps, _BELL_BRAS.T)
+        assert np.abs(amps - state).max() <= 1e-15
 
     def test_bell_project_takes_a_strided_state(self):
         inst = random_instance(2, np.random.default_rng(148), BHF)
@@ -389,11 +398,6 @@ class TestCrossCheck:
         report = cross_check(random_instance(n, np.random.default_rng(130 + n), conv))
         assert report.num_outcomes == 4**n
         assert report.passed and report.max_abs_diff <= 1e-10
-
-    def test_the_shared_state_comparison_is_cross_check(self):
-        inst = random_instance(3, np.random.default_rng(131), BHF)
-        rs = rearrange_for_measurement(joint_state(inst), inst)
-        assert _cross_check(inst, rs.amps, DEFAULT_EQ_TOL) == cross_check(inst, DEFAULT_EQ_TOL)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True])
     def test_rejects_an_invalid_tolerance(self, tol):
@@ -437,40 +441,23 @@ class TestCrossCheck:
         )
         assert worst > 1e-2
 
+    @pytest.mark.parametrize("check", CHECKS)
     @pytest.mark.parametrize("row", [5, 62])
-    def test_names_a_wrong_prediction(self, monkeypatch, row):
+    def test_names_a_wrong_prediction(self, monkeypatch, row, check):
         """A row off by 1e-6, in the first or the last quarter of the outcomes."""
         real = oracle._outcome_chunks
 
-        def perturbed(inst):
-            for rows, chunk in real(inst):
+        def perturbed(*args):
+            for rows, chunk in real(*args):
                 if rows.start <= row < rows.stop:
                     chunk[row - rows.start, 1] += 1e-6
                 yield rows, chunk
 
         monkeypatch.setattr(oracle, "_outcome_chunks", perturbed)
-        report = cross_check(random_instance(3, np.random.default_rng(88), BHF))
+        report = check(random_instance(3, np.random.default_rng(88), BHF))
         assert report.passed is False
         assert report.worst_outcome == outcomes(3)[row]
         assert report.max_abs_diff == pytest.approx(1e-6, abs=1e-12)
-
-    def test_holds_the_state_its_quarter_buffers_and_the_comparator_chunks(self):
-        """At N = 7, beyond the 16 * 8^N-byte measurement state and its two quarter-size
-        float buffers, the second of which also takes each chunk's magnitudes,
-        ``cross_check`` holds what ``_outcome_chunks`` does: at most three comparator
-        chunks of 4^4 rows and numpy's iterator buffers, as
-        ``test_comparator_scratch_is_at_most_three_chunks`` derives."""
-        n = 7
-        inst = random_instance(n, np.random.default_rng(133), BHS)
-        cross_check(inst)
-        tracemalloc.start()
-        try:
-            cross_check(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        state = 16 * 8**n
-        assert peak <= state + state // 2 + 3 * (16 * 4**4 << n) + 2 * 16 * np.getbufsize()
 
     def test_report_fields(self):
         inst = random_instance(1, np.random.default_rng(83), BHS)
@@ -479,6 +466,60 @@ class TestCrossCheck:
         assert report.tolerance == 1e-10
         assert len(report.worst_outcome) == 1
 
+
+# The chunk scratch the tracemalloc bounds below allow, in chunks of the plan's rows:
+# ``_outcome_chunks``'s 3, derived in ``test_walk_without_a_table_holds_at_most_three_chunks``
+# for 4^5 rows and alike for 4^4 at N = 7; the comparison's complex and float buffers,
+# 1 1/2; and for ``verify_instance`` the recovery frames, 1, and their gather index,
+# 1/2, kept per N but counted here in case the first call at N = 7 builds it.
+SCRATCH_CHUNKS = {cross_check: 4.5, verify_instance: 6}
+
+
+class TestMemory:
+    @pytest.mark.parametrize("check, pairs", [(cross_check, _CHECK_PAIRS), (verify_instance, _TABLE_PAIRS)])
+    def test_holds_the_state_its_last_step_the_slab_and_chunk_scratch(self, check, pairs):
+        """At N = 7 a call holds the 16 * 8^N-byte measurement state; while it is built,
+        its last step, a quarter of its size; the transform's slab, 8 * ``_SLAB``
+        bytes; the chunk scratch of ``SCRATCH_CHUNKS``, chunks of 4^4 predicted rows
+        for ``cross_check`` and of 4^5 for ``verify_instance``, 16 * 4^k * 2^N bytes;
+        and numpy's iterator buffers, ``np.getbufsize()`` elements for each of up to
+        two complex operands.  The transform and the comparison run once the state is
+        built, so the bound, their sum, is loose by the quarter.  numpy reports its
+        allocations to tracemalloc; the instance's cached W^T, 16 * 4^N bytes, is
+        built by the first call, outside the trace."""
+        n = 7
+        inst = random_instance(n, np.random.default_rng(133), BHS)
+        check(inst)
+        tracemalloc.start()
+        try:
+            check(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state, chunk = 16 * 8**n, 16 * 4**pairs << n
+        scratch = int(SCRATCH_CHUNKS[check] * chunk)
+        assert peak <= state + state // 4 + 8 * _SLAB + scratch + 2 * 16 * np.getbufsize()
+
+
+def swapped_predictions(inst: TeleportationInstance) -> np.ndarray:
+    """The predicted table with the records of outcomes 11 and 21 swapped."""
+    predicted, _ = raw_table(inst)
+    predicted[[0, 5]] = predicted[[5, 0]]
+    return predicted
+
+
+def whole_table_reconstruction(inst: TeleportationInstance) -> float:
+    """Max |U^T (P - R)| from whole arrays: P the rows sqrt(p) c of
+    ``enumerate_outcomes``, R the residuals of ``complex_project``, U^T as
+    ``_project`` with the transposed bras."""
+    n = inst.num_qubits
+    table = enumerate_outcomes(inst)
+    scaled = table.collapsed * np.sqrt(table.probabilities)[:, None]
+    difference = scaled - complex_project(_measurement_state(inst), n)
+    return float(np.abs(_project(difference, [_BELL_BRAS.T] * n)).max())
+
+
+class TestReconstruction:
     def test_reconstruction_identity(self):
         """Summing Bell bras tensor collapsed states rebuilds the joint state."""
         rng = np.random.default_rng(84)
@@ -490,51 +531,104 @@ class TestCrossCheck:
                 bell = reduce(np.kron, [bell_state(r) for r in out])
                 rebuilt += np.kron(bell, collapsed_state(inst, out).amps)
             np.testing.assert_allclose(rebuilt, rs.amps, atol=1e-12)
-            assert _reconstruction_diff(rs.amps, enumerate_outcomes(inst)) <= 1e-12
+            assert verify_instance(inst).reconstruction <= 1e-12
 
-    def test_reconstruction_diff_sees_swapped_records(self):
+    def test_sees_swapped_records(self, monkeypatch):
         inst = random_instance(2, np.random.default_rng(85), BHS)
-        table = enumerate_outcomes(inst)
-        swap = [5, 1, 2, 3, 4, 0, *range(6, 16)]
-        swapped = OutcomeTable(
-            table.probabilities[swap],
-            table.collapsed[swap],
-            table.fidelities[swap],
-            table.invertible,
-        )
-        assert _reconstruction_diff(_measurement_state(inst), swapped) > 1e-3
+        patch_predictions(monkeypatch, swapped_predictions(inst))
+        report = verify_instance(inst)
+        assert report.reconstruction > 1e-3
+        assert dict(report.verdicts)["reconstruction"] == "FAIL" and not report.passed
 
     @pytest.mark.parametrize("n, row, col", [(3, 5, 3), (5, 9, 20)])
-    def test_reconstruction_diff_propagates_a_nan(self, n, row, col):
-        """One NaN amplitude fails the check; at N = 5 it is in the second slice of
-        columns."""
+    def test_propagates_a_nan(self, monkeypatch, n, row, col):
+        """One NaN amplitude fails the check."""
         inst = random_instance(n, np.random.default_rng(86), BHF)
-        rs = _measurement_state(inst)
-        table = enumerate_outcomes(inst)
-        assert _reconstruction_diff(rs, table) <= 1e-12
-        collapsed = table.collapsed.copy()
-        collapsed[row, col] = np.nan
-        broken = OutcomeTable(table.probabilities, collapsed, table.fidelities, table.invertible)
-        assert np.isnan(_reconstruction_diff(rs, broken))
+        assert verify_instance(inst).reconstruction <= 1e-12
+        predicted, _ = raw_table(inst)
+        predicted[row, col] = np.nan
+        patch_predictions(monkeypatch, predicted)
+        report = verify_instance(inst)
+        assert np.isnan(report.reconstruction)
+        assert dict(report.verdicts)["reconstruction"] == "FAIL" and not report.passed
 
-
-def whole_table_reconstruction_diff(rearranged: np.ndarray, table: OutcomeTable) -> float:
-    """``_reconstruction_diff`` from one ``_project`` over the whole scaled table."""
-    n = table.collapsed.shape[1].bit_length() - 1
-    scaled = table.collapsed * np.sqrt(table.probabilities)[:, None]
-    rebuilt = _project(scaled, [_BELL_BRAS.T] * n)
-    return float(np.abs(rebuilt - rearranged.reshape(rebuilt.shape)).max())
-
-
-class TestStreamedReconstruction:
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_equals_the_whole_table_reconstruction_bit_for_bit(self, n, conv):
-        """From N = 5 on the table is rebuilt in more than one slice of columns."""
         inst = random_instance(n, np.random.default_rng(150 + n), conv)
         for case in (inst, with_product_pair(inst), with_phased_input(inst)):
-            rs = _measurement_state(case)
-            table = enumerate_outcomes(case)
-            got = _reconstruction_diff(rs, table)
-            assert got.hex() == whole_table_reconstruction_diff(rs, table).hex()
+            got = verify_instance(case).reconstruction
+            assert got.hex() == whole_table_reconstruction(case).hex()
             assert got <= 1e-12
+
+
+def assert_one_pass_is_the_separate_calls(inst: TeleportationInstance) -> None:
+    """``verify_instance``'s oracle figures are ``cross_check``'s, its |sum(p) - 1| is
+    Python's left-to-right sum over ``enumerate_outcomes``' probabilities, and its
+    minimum fidelity the table's over the outcomes of positive probability, NaN when
+    its pairs are not all invertible."""
+    report = verify_instance(inst)
+    alone = cross_check(inst)
+    assert report.oracle == alone
+    assert report.oracle.max_abs_diff.hex() == alone.max_abs_diff.hex()
+    table = enumerate_outcomes(inst)
+    assert report.completeness == abs(sum(table.probabilities.tolist()) - 1.0)
+    assert (report.non_invertible == ()) == table.invertible
+    if table.invertible:
+        assert report.min_fidelity == np.nanmin(table.fidelities[table.probabilities > 0.0])
+    else:
+        assert np.isnan(report.min_fidelity)
+
+
+class TestVerifyInstance:
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_one_pass_is_the_separate_calls(self, n, conv):
+        rng = np.random.default_rng(160 + n)
+        for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
+            assert_one_pass_is_the_separate_calls(inst)
+
+    @pytest.mark.parametrize(
+        "tols", [(-1.0, 1e-9), (float("nan"), 1e-9), (1e-10, float("inf")), (1e-10, True)]
+    )
+    def test_refuses_a_tolerance_before_building_a_state(self, monkeypatch, tols):
+        def refused(inst):
+            raise AssertionError("the state was built")
+
+        monkeypatch.setattr(oracle, "_measurement_state", refused)
+        inst = random_instance(2, np.random.default_rng(170), BHS)
+        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+            verify_instance(inst, *tols)
+        if tols[0] != 1e-10:
+            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
+                cross_check(inst, tols[0])
+
+    def test_verdicts(self):
+        inst = random_instance(3, np.random.default_rng(171), BHF)
+        report = verify_instance(inst)
+        assert report.verdicts == (
+            ("oracle-equivalence", "PASS"),
+            ("completeness", "PASS"),
+            ("reconstruction", "PASS"),
+            ("recovery-fidelity", "PASS"),
+        )
+        assert report.passed and not report.recovery_overflow
+        strict = verify_instance(inst, tol_eq=0.0)
+        assert not strict.passed and ("oracle-equivalence", "FAIL") in strict.verdicts
+
+    def test_a_non_invertible_pair_skips_recovery(self):
+        inst = with_product_pair(random_instance(3, np.random.default_rng(172), BHS))
+        report = verify_instance(inst)
+        assert report.non_invertible == (3,) and np.isnan(report.min_fidelity)
+        assert report.verdicts[-1] == ("recovery-fidelity", "SKIP") and report.passed
+
+    def test_a_recovery_transform_past_the_float_range_fails_without_a_warning(self):
+        """Two pairs of |det| 1e-160 at tol_inv = 0: each M^-1 is finite, W is not."""
+        pair = EntangledPair(np.array([1e-160, 0, 0, 1], dtype=complex))
+        inst = TeleportationInstance(
+            StateVector(2, np.full(4, 0.5, dtype=complex)), Channel((pair, pair)), BHS
+        )
+        report = verify_instance(inst, tol_inv=0.0)
+        assert report.recovery_overflow and report.non_invertible == ()
+        assert report.verdicts[-1] == ("recovery-fidelity", "FAIL") and not report.passed
+        assert np.isnan(enumerate_outcomes(inst, tol=0.0).fidelities).all()

@@ -1,5 +1,6 @@
 """Property tests: the block factorization B_r = M @ sigma_r, Kraus completeness, Born
-probabilities and oracle agreement on normalized instances with near-singular pairs, one
+probabilities and oracle agreement on normalized instances with near-singular pairs, the
+one ``verify_instance`` pass against the separate calls on them, one
 verdict on invertibility for a pair exactly at the tolerance, the table's recovery
 fidelities against ``recover``'s, and the pair-by-pair draw against the inverse cumulative
 distribution over all outcomes."""
@@ -13,6 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_oracle import assert_one_pass_is_the_separate_calls
 from test_protocol import InverseCdf, pair_with_abs_det
 
 from belldecomp import (
@@ -117,6 +119,12 @@ def test_probabilities_sum_to_one(inst):
 @given(hard_instances())
 def test_blocks_agree_with_the_oracle(inst):
     assert cross_check(inst).max_abs_diff <= 1e-10
+
+
+@settings(max_examples=50)
+@given(hard_instances())
+def test_one_verify_pass_is_the_separate_calls(inst):
+    assert_one_pass_is_the_separate_calls(inst)
 
 
 @settings(max_examples=50)

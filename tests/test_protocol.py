@@ -50,11 +50,11 @@ from belldecomp.protocol import (
     _TABLE_PAIRS,
     _apply_blocks,
     _chunk_frames,
+    _chunk_rows,
+    _fidelity_rows,
     _frame_gather,
     _inverse_cdf_step,
     _outcome_chunks,
-    _outcome_table,
-    _recovery_fidelities,
 )
 
 BHF = PairingConvention.BOB_HOLDS_FIRST
@@ -272,6 +272,26 @@ class TestRecoverFailures:
         zero = StateVector(n, np.zeros(1 << n))
         for out in [(1,) * n, (4,) * n]:
             self.recover_warns(zero, inst, out, 1e-9, set(), "cannot normalize a zero state")
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_a_pair_inverse_past_the_float_range_is_named(self, conv):
+        """|det| = 1e-309 passes tol = 0, but M^-1 holds 1e309: every path to the
+        inverse refuses the pair, without a warning, and the table path names it."""
+        pair = EntangledPair(np.array([1, 0, 0, 1e-309], dtype=complex))
+        mes = EntangledPair(np.array([1, 0, 0, 1]) / math.sqrt(2))
+        inst = TeleportationInstance(random_state(2, np.random.default_rng(62)), Channel((mes, pair)), conv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotInvertibleError, match="leaves the float range"):
+                inverse_pair_blocks(pair, conv, 0.0)
+            for call in (
+                lambda: recover(collapsed_state(inst, (1, 1)), inst, (1, 1), 0.0),
+                lambda: enumerate_outcomes(inst, tol=0.0),
+            ):
+                with pytest.raises(NotInvertibleError, match="^pair 2: the inverse") as info:
+                    call()
+                assert info.value.pair_indices == (2,)
+            assert np.isnan(enumerate_outcomes(inst, tol=1e-9).fidelities).all()
 
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -618,6 +638,17 @@ def dense_collapsed(inst: TeleportationInstance, outcome) -> StateVector:
     return StateVector(n, np.sqrt(0.5) ** n * (dm @ inst.input_state.amps))
 
 
+def raw_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The unnormalized collapsed states of all 4^N outcomes, as the table path of
+    ``_outcome_chunks`` writes them, and their squared norms."""
+    n = inst.num_qubits
+    table = np.empty((4**n, 1 << n), dtype=complex)
+    for _ in _outcome_chunks(inst, table):
+        pass
+    flat = table.view(np.float64)
+    return table, np.einsum("ij,ij->i", flat, flat)
+
+
 class TestOutcomeTable:
     """The one-pass table and the records built on it against dense matrix products."""
 
@@ -625,7 +656,7 @@ class TestOutcomeTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_per_outcome_collapse_and_recovery(self, n, conv):
         inst = hard_instance(n, conv, seed=70 + n)
-        table, probs = _outcome_table(inst)
+        table, probs = raw_table(inst)
         records = enumerate_outcomes(inst)
         assert table.shape == (4**n, 2**n) and probs.shape == (4**n,)
         outcomes = list(itertools.product((1, 2, 3, 4), repeat=n))
@@ -649,7 +680,7 @@ class TestOutcomeTable:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_zero_probability_rows(self, n, conv):
         inst = degenerate_instance(n, conv, seed=80 + n)
-        table, probs = _outcome_table(inst)
+        table, probs = raw_table(inst)
         records = enumerate_outcomes(inst)
         outcomes = itertools.product((1, 2, 3, 4), repeat=n)
         zero = 0
@@ -695,7 +726,7 @@ class TestOutcomeTable:
     def test_rows_are_the_division_by_the_norm_bit_for_bit(self, n, conv, make):
         """Signed zeros included."""
         inst = make(n, conv, seed=110 + n)
-        unnormalized, probs = _outcome_table(inst)
+        unnormalized, probs = raw_table(inst)
         with np.errstate(invalid="ignore"):
             expected = unnormalized / np.sqrt(probs)[:, None]
         expected[probs == 0.0] = 0.0
@@ -792,6 +823,15 @@ class TestOutcomeTable:
             sample_outcome(TeleportationInstance(state, ch, BHS), 0)
 
 
+def recovery_fidelities(inst: TeleportationInstance, collapsed: np.ndarray) -> np.ndarray:
+    """``_fidelity_rows`` of every chunk of the rows of ``collapsed``."""
+    z = np.empty((_chunk_rows(inst.num_qubits, _TABLE_PAIRS), collapsed.shape[1]), dtype=complex)
+    return np.concatenate([
+        _fidelity_rows(inst, collapsed[rows], framed, z)
+        for rows, framed in _chunk_frames(inst.input_state.amps.conj())
+    ])
+
+
 class TestRecoveryKernel:
     """The table's fidelities: one product with the shared inverse W per chunk, read
     against the input in each outcome's Pauli frame."""
@@ -824,7 +864,7 @@ class TestRecoveryKernel:
         for k in (0, 37, 63):
             collapsed = table.collapsed.copy()
             collapsed[k, 5] += 0.25
-            fids = _recovery_fidelities(inst, collapsed)
+            fids = recovery_fidelities(inst, collapsed)
             assert fids[k] < 1.0 - 1e-3
             others = np.arange(len(fids)) != k
             assert np.array_equal(fids[others], table.fidelities[others])
@@ -856,17 +896,17 @@ OUTCOMES = {n: list(itertools.product((1, 2, 3, 4), repeat=n)) for n in range(1,
 
 
 def assert_rows_are_collapsed_states(inst: TeleportationInstance) -> np.ndarray:
-    """Every row of ``_outcome_table``, and of ``_outcome_chunks`` under both chunk
-    plans, is ``collapsed_state`` of its outcome byte for byte; the table is returned."""
+    """Every row ``_outcome_chunks`` writes into a table, and every row it yields
+    without one, from a deeper level, is ``collapsed_state`` of its outcome byte for
+    byte; the table is returned."""
     n = inst.num_qubits
     states = [collapsed_state(inst, out).amps.tobytes() for out in OUTCOMES[n]]
-    table, _ = _outcome_table(inst)
+    table, _ = raw_table(inst)
     for k, row in enumerate(table):
         assert row.tobytes() == states[k], outcome_at(k, n)
-    for pairs in (_CHECK_PAIRS, _TABLE_PAIRS):
-        for rows, predicted in _outcome_chunks(inst, pairs=pairs):
-            for k, row in zip(range(rows.start, rows.stop), predicted):
-                assert row.tobytes() == states[k], (pairs, outcome_at(k, n))
+    for rows, predicted in _outcome_chunks(inst):
+        for k, row in zip(range(rows.start, rows.stop), predicted):
+            assert row.tobytes() == states[k], outcome_at(k, n)
     return table
 
 
@@ -1011,77 +1051,83 @@ class TestOneOutcomeIsTheTableArithmetic:
 
 
 class TestChunkPlans:
-    """The table passes and the comparator cut the outcomes into chunks of different
-    sizes; the size is a performance choice and must not change a bit."""
+    """The table passes and the oracle's walks cut the outcomes into chunks of different
+    sizes, from levels of different depths; both are performance choices and must not
+    change a bit.  ``cross_check`` walks chunks of 4^``_CHECK_PAIRS`` rows and
+    ``verify_instance`` of 4^``_TABLE_PAIRS``, the table's, without a table."""
 
+    @pytest.mark.parametrize("pairs", [_CHECK_PAIRS, _TABLE_PAIRS])
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_comparator_chunks_are_the_table_rows(self, n, conv):
-        """The comparator's chunks tile the outcomes in order, each inside one quarter
-        (``oracle._cross_check`` matches a chunk to the projection of quarter
-        ``rows.start // 4^(N-1)``), and hold the table's rows byte for byte."""
+    def test_chunks_without_a_table_are_the_table_rows(self, n, conv, pairs):
+        """The chunks tile the outcomes in order, each of ``_chunk_rows`` rows, and
+        hold the table's rows byte for byte."""
         inst = random_instance(n, np.random.default_rng(230 + n), conv)
-        table, _ = _outcome_table(inst)
-        quarter = 4 ** (n - 1)
+        table, _ = raw_table(inst)
         covered = 0
-        for rows, predicted in _outcome_chunks(inst):
-            assert rows.start == covered
-            assert rows.start // quarter == (rows.stop - 1) // quarter, rows
+        for rows, predicted in _outcome_chunks(inst, None, pairs):
+            assert rows.start == covered and len(predicted) == _chunk_rows(n, pairs)
             assert predicted.tobytes() == table[rows].tobytes(), rows
             covered = rows.stop
         assert covered == 4**n
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_table_build_scratch_is_at_most_one_chunk(self, n):
-        """Beyond the 16 * 8^N-byte table and its 8 * 4^N bytes of probabilities,
-        ``_outcome_table`` allocates at most one 4^5-row chunk, 16 * 4^5 * 2^N bytes:
+        """Beyond the 16 * 8^N-byte table it writes into, the table path of
+        ``_outcome_chunks`` allocates at most one 4^5-row chunk, 16 * 4^5 * 2^N bytes:
         half a chunk of products and two state buffers, a quarter and a sixteenth of
         a chunk.  numpy reports its allocations to tracemalloc."""
         inst = random_instance(n, np.random.default_rng(245 + n), BHS)
-        _outcome_table(inst)
+        table, _ = raw_table(inst)
         tracemalloc.start()
         try:
-            _outcome_table(inst)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 8**n + 8 * 4**n + (16 * 4**5 << n)
-
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_comparator_scratch_is_at_most_three_chunks(self, n):
-        """Consuming ``_outcome_chunks`` without a table holds at most three comparator
-        chunks of 4^4 rows, 16 * 4^4 * 2^N bytes, and numpy's iterator buffers.  The
-        chunks: the shared level of the first four pairs, one chunk; the chunk buffer,
-        one; at most two step buffers, a quarter and a sixteenth; and the last step's
-        products, half a chunk: 2 13/16, and the last 3/16 covers the arrays' headers.
-        numpy 2 buffers operands of a ufunc call of at most ``np.getbufsize()``
-        elements, up to two complex operands at once in a step: a whole chunk at
-        N = 6.  numpy reports its allocations to tracemalloc."""
-        inst = random_instance(n, np.random.default_rng(250 + n), BHS)
-        for _ in _outcome_chunks(inst):
-            pass
-        tracemalloc.start()
-        try:
-            for _ in _outcome_chunks(inst):
+            for _ in _outcome_chunks(inst, table, _TABLE_PAIRS):
                 pass
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (16 * 4**4 << n) + 2 * 16 * np.getbufsize()
+        assert peak <= 16 * 4**5 << n
 
-    @pytest.mark.parametrize("n, unwritten", [(5, (4, 16)), (6, (16,))])
-    def test_comparator_allocates_only_the_step_buffers_it_writes(self, n, unwritten):
-        """Without a table, a chunk at N = 6 takes two pair steps and writes only the
-        quarter-chunk buffer, and at N = 5 it takes one step and writes neither, so
-        no block of a quarter or a sixteenth of a 4^4-row chunk that no step writes
-        is live while the walk runs.  numpy reports its allocations to
-        tracemalloc; the other blocks ``protocol`` allocates are the level, the chunk
-        buffer, the written step buffer and the scaled input, none of those sizes."""
-        inst = random_instance(n, np.random.default_rng(255 + n), BHS)
-        chunk = 16 * 4**_CHECK_PAIRS << n
+    @pytest.mark.parametrize("pairs", [_CHECK_PAIRS, _TABLE_PAIRS])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_walk_without_a_table_holds_at_most_three_chunks(self, n, pairs):
+        """Consuming ``_outcome_chunks`` without a table holds at most three chunks of
+        4^pairs rows, 16 * 4^pairs * 2^N bytes, and numpy's iterator buffers.  The
+        chunks: the shared level of the first pairs, one chunk at these N; the chunk
+        buffer, one; at most two step buffers, a quarter and a sixteenth; and the last
+        step's products, half a chunk: 2 13/16, and the last 3/16 covers the arrays'
+        headers.  numpy 2 buffers operands of a ufunc call of at most
+        ``np.getbufsize()`` elements, up to two complex operands at once in a step.
+        numpy reports its allocations to tracemalloc."""
+        inst = random_instance(n, np.random.default_rng(250 + n), BHS)
+        for _ in _outcome_chunks(inst, None, pairs):
+            pass
         tracemalloc.start()
         try:
-            walk = _outcome_chunks(inst)
+            for _ in _outcome_chunks(inst, None, pairs):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (16 * 4**pairs << n) + 2 * 16 * np.getbufsize()
+
+    @pytest.mark.parametrize(
+        "pairs, n, unwritten",
+        [(_CHECK_PAIRS, 5, (4, 16)), (_CHECK_PAIRS, 6, (16,)), (_TABLE_PAIRS, 6, (4, 16)), (_TABLE_PAIRS, 7, (16,))],
+    )
+    def test_walk_allocates_only_the_step_buffers_it_writes(self, pairs, n, unwritten):
+        """Without a table, a chunk of the last ``pairs`` + 1 pairs' outcomes takes two
+        pair steps and writes only the quarter-chunk buffer, and a chunk of all but the
+        first ``pairs`` takes one step and writes neither, so no block of a quarter or a
+        sixteenth of a chunk that no step writes is live while the walk runs.  numpy
+        reports its allocations to tracemalloc; the other blocks ``protocol``
+        allocates are the level, the chunk buffer, the written step buffer and the
+        scaled input, none of those sizes."""
+        inst = random_instance(n, np.random.default_rng(255 + n), BHS)
+        chunk = 16 * 4**pairs << n
+        tracemalloc.start()
+        try:
+            walk = _outcome_chunks(inst, None, pairs)
             next(walk)
             walked = tracemalloc.Filter(True, _outcome_chunks.__code__.co_filename)
             traces = tracemalloc.take_snapshot().filter_traces([walked]).traces
