@@ -28,6 +28,7 @@ from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
     PairingConvention,
+    _W_OVERFLOW,
     _inverse_product,
     _valid_tol,
     decomposition_matrix,
@@ -276,7 +277,7 @@ def _verify_lines(label: str, report: VerificationReport) -> list[str]:
     if report.non_invertible:
         recovery = f"pair(s) {', '.join(map(str, report.non_invertible))} not invertible"
     elif report.recovery_overflow:
-        recovery = "the tensor product of the pair inverses leaves the float range"
+        recovery = _W_OVERFLOW
     else:
         recovery = f"min fidelity = {report.min_fidelity:.15f}, {tol}"
     oracle = report.oracle

@@ -170,13 +170,17 @@ def _inverse_coefficient_matrix(
     return inverse
 
 
+# Why W has no float value although each pair inverse has; CLI verify prints it.
+_W_OVERFLOW = "the tensor product of the pair inverses leaves the float range"
+
+
 def _inverse_product(inverses: Iterable[np.ndarray]) -> np.ndarray:
     """The tensor product of the given inverses, the first factor on the most
     significant bit; NotInvertibleError when an entry leaves the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = reduce(np.kron, inverses)
     if not np.isfinite(product).all():
-        raise NotInvertibleError("the tensor product of the pair inverses leaves the float range")
+        raise NotInvertibleError(_W_OVERFLOW)
     return product
 
 

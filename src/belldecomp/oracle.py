@@ -80,7 +80,7 @@ def _real_bras() -> np.ndarray:
 
 _BELL_BRAS = _real_bras()
 
-# Float columns per matrix product in ``_project`` and ``_transform``: 1,024
+# Float columns per matrix product in ``bell_project`` and ``_transform``: 1,024
 # floats are 512 complex amplitudes.  With OpenBLAS on 2 threads, a (1, 4) x
 # (4, 1024) complex product, 2,048 floats wide, already ran threaded and
 # stalled for 5-8 ms (2-CPU Xeon); products 512 complex columns wide stayed on
@@ -161,39 +161,15 @@ def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _project(amps: np.ndarray, bras: list[np.ndarray]) -> np.ndarray:
-    """Contract each measured pair of a rearranged state against a stack of real bras.
-
-    ``bras[i]`` is a real (k_i, 4) array, the bras of the Bell results kept
-    for pair i.  Row j of the complex (k_1 * ... * k_N, 2^N) result is the
-    receiver's residual for the j-th kept outcome in lexicographic order.
-    Contracting pair i leaves its result axis where its measured axis was.
-    The passes run on the float64 view of ``amps`` (made C-contiguous
-    first), whose trailing axis interleaves real and imaginary parts: the
-    axes after the measured one are cut into blocks of ``_BLAS_COLUMNS``
-    floats, and each block is one small real matrix product into a new array.
-    """
-    t, rows = np.ascontiguousarray(amps).view(np.float64), 1
-    for b in bras:
-        cols = t.size // (4 * rows)
-        block = min(cols, _BLAS_COLUMNS)
-        out = np.empty((rows, len(b), cols // block, block))
-        x = t.reshape(rows, 4, cols // block, block)
-        np.matmul(b, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
-        t, rows = out, rows * len(b)
-    return t.reshape(rows, -1).view(np.complex128)
-
-
 def _transform(amps: np.ndarray, matrix: np.ndarray) -> None:
     """Contract each measured pair of a C-contiguous measurement-order state with a real
     (4, 4) matrix, in place.
 
-    Pair i's measured axis becomes the matrix's row index, so ``_BELL_BRAS``
-    turns the state into the residuals, a (4^N, 2^N) table in outcome order
-    as ``_project`` gives it, and ``_BELL_BRAS.T`` turns them back.  As in
-    ``_project``, the float view's axes after the measured one are cut into
-    blocks of ``_BLAS_COLUMNS`` floats; as many (4, block) pieces as fill
-    the slab, the only array allocated, are multiplied into it and copied back.
+    Pair i's measured axis becomes the matrix's row index: ``_BELL_BRAS``
+    turns the state into the residuals, ``bell_project``'s rows in outcome
+    order, and ``_BELL_BRAS.T`` turns them back.  The float view is cut as
+    in ``bell_project``; as many (4, block) pieces as fill the slab, the only
+    array allocated, are multiplied into it and copied back.
     """
     t = amps.view(np.float64)
     slab = np.empty(_SLAB)
@@ -216,15 +192,23 @@ def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
 
     Returns the receiver's unnormalized residual; summed over all outcomes the
     squared norms add up to the total squared norm of ``rs``.  This is one
-    row of the residuals ``cross_check`` makes of all outcomes: one real bra
-    per pair, applied to the float view of a C-contiguous copy of ``rs.amps``
-    (no copy when they already are), so any ``StateVector`` works.
+    row of the residuals ``cross_check`` makes of all outcomes.  Pair by
+    pair, the pair's row of ``_BELL_BRAS`` multiplies the leading axis of the
+    float view of a C-contiguous copy of ``rs.amps`` (no copy when they
+    already are; any ``StateVector`` works), in blocks of ``_BLAS_COLUMNS``
+    floats, into a new array.
     """
     out = validate_outcome(outcome, len(outcome))
     n = len(out)
     if rs.num_qubits != 3 * n:
         raise ValueError(f"state has {rs.num_qubits} qubit(s), expected {3 * n}")
-    return StateVector(n, _project(rs.amps, [_BELL_BRAS[a - 1 : a] for a in out]))
+    t = np.ascontiguousarray(rs.amps).view(np.float64)
+    for a in out:
+        block = min(t.size // 4, _BLAS_COLUMNS)
+        x = t.reshape(4, -1, block).swapaxes(0, 1)
+        t = np.empty((1, len(x), block))
+        np.matmul(_BELL_BRAS[a - 1 : a], x, out=t.swapaxes(0, 1))
+    return StateVector(n, t.reshape(-1).view(np.complex128))
 
 
 @dataclass(frozen=True)
@@ -296,8 +280,8 @@ def verify_instance(
     return _oracle_pass(inst, tol_eq, tol_inv)
 
 
-def _oracle_pass(inst: TeleportationInstance, tol_eq: float, tol_inv: float | None = None):
-    """``cross_check``'s report, or given ``tol_inv``, ``verify_instance``'s.
+def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
+    """``cross_check``'s report, or given a ``tol_inv``, even None, ``verify_instance``'s.
 
     The state S becomes R, and each chunk of predictions c is compared with
     its rows: the largest |R - c| and its first flat argmax, through one
@@ -308,8 +292,8 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, tol_inv: float | No
     overwrites R's rows; R then turns back into U^T P - S.
     """
     tol_eq = _valid_tol(tol_eq)
-    verify = tol_inv is not None
-    bad = _non_invertible_pairs(inst, tol_inv) if verify else ()
+    verify = bool(tol_inv)
+    bad = _non_invertible_pairs(inst, *tol_inv) if verify else ()
     state = _measurement_state(inst)
     overflow = verify and not bad and inst._recovery_matrix is None
     recovery = verify and not (bad or overflow)

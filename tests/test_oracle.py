@@ -25,7 +25,7 @@ from belldecomp import (
     verify_instance,
 )
 from belldecomp import oracle
-from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _measurement_state, _project, _transform
+from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _measurement_state, _transform
 from belldecomp.protocol import _CHECK_PAIRS, _TABLE_PAIRS, _chunks
 from test_protocol import raw_table
 
@@ -210,8 +210,8 @@ def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int
 
 class TestProjectAllOutcomes:
     def test_rows_match_bell_project(self):
-        """The rows of the transformed state, and of ``_project`` with all four bras per
-        pair, are each outcome's ``bell_project``."""
+        """The rows of the transformed state, and of ``complex_project`` with all four
+        bras per pair, are each outcome's ``bell_project``."""
         rng = np.random.default_rng(86)
         for n in (1, 2, 3, 4):
             for conv in (BHF, BHS):
@@ -219,7 +219,7 @@ class TestProjectAllOutcomes:
                 rs = rearrange_for_measurement(joint_state(inst), inst)
                 residuals = _measurement_state(inst)
                 _transform(residuals, _BELL_BRAS)
-                for table in (_project(rs.amps, [_BELL_BRAS] * n), residuals.reshape(4**n, -1)):
+                for table in (complex_project(rs.amps, COMPLEX_BRAS, n), residuals.reshape(4**n, -1)):
                     assert table.shape == (4**n, 1 << n)
                     for row, out in zip(table, outcomes(n)):
                         np.testing.assert_allclose(
@@ -290,16 +290,17 @@ def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
 COMPLEX_BRAS = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
 
 
-def complex_project(amps: np.ndarray, n: int) -> np.ndarray:
+def complex_project(amps: np.ndarray, bras: np.ndarray, n: int) -> np.ndarray:
     """Every outcome's residual from complex matrix products: each pair's measured
-    axis against all four ``COMPLEX_BRAS``, in blocks of 512 complex columns."""
+    axis against the four rows of ``bras``, ``COMPLEX_BRAS`` or its transpose, in
+    blocks of 512 complex columns."""
     t, rows = amps, 1
     for _ in range(n):
         cols = t.size // (4 * rows)
         block = min(cols, 512)
         out = np.empty((rows, 4, cols // block, block), dtype=np.complex128)
         x = t.reshape(rows, 4, cols // block, block)
-        np.matmul(COMPLEX_BRAS, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
+        np.matmul(bras, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
         t, rows = out, rows * 4
     return t.reshape(rows, -1)
 
@@ -317,7 +318,7 @@ def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[i
     n = inst.num_qubits
     rs = rearrange_for_measurement(joint_state(inst), inst)
     predicted, _ = raw_table(inst)
-    row_diff = np.abs(complex_project(rs.amps, n) - predicted).max(axis=1)
+    row_diff = np.abs(complex_project(rs.amps, COMPLEX_BRAS, n) - predicted).max(axis=1)
     worst = int(np.argmax(row_diff))
     return float(row_diff[worst]), outcomes(n)[worst]
 
@@ -338,13 +339,18 @@ class TestFloatViewProjection:
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_residuals_equal_the_complex_products(self, n, conv):
-        """The state transformed in place, and ``_project``'s new arrays, bit for bit."""
+        """The state transformed in place, and ``bell_project``'s new arrays on every
+        outcome at N <= 3 and 32 seeded ones above, bit for bit."""
         rng = np.random.default_rng(140 + n)
         inst = random_instance(n, rng, conv)
+        rows = range(4**n) if n <= 3 else rng.choice(4**n, 32, replace=False)
         for case in (inst, with_product_pair(inst), with_phased_input(inst)):
             rs = _measurement_state(case)
-            expected = complex_project(rs, n)
-            assert np.array_equal(bits(_project(rs, [_BELL_BRAS] * n)), bits(expected))
+            expected = complex_project(rs, COMPLEX_BRAS, n)
+            state = StateVector(3 * n, rs)
+            for k in rows:
+                row = bell_project(state, outcomes(n)[k]).amps
+                assert np.array_equal(bits(row), bits(expected[k]))
             _transform(rs, _BELL_BRAS)
             assert np.array_equal(bits(rs), bits(expected.reshape(-1)))
 
@@ -511,12 +517,12 @@ def swapped_predictions(inst: TeleportationInstance) -> np.ndarray:
 def whole_table_reconstruction(inst: TeleportationInstance) -> float:
     """Max |U^T (P - R)| from whole arrays: P the rows sqrt(p) c of
     ``enumerate_outcomes``, R the residuals of ``complex_project``, U^T as
-    ``_project`` with the transposed bras."""
+    ``complex_project`` with the transposed bras."""
     n = inst.num_qubits
     table = enumerate_outcomes(inst)
     scaled = table.collapsed * np.sqrt(table.probabilities)[:, None]
-    difference = scaled - complex_project(_measurement_state(inst), n)
-    return float(np.abs(_project(difference, [_BELL_BRAS.T] * n)).max())
+    difference = scaled - complex_project(_measurement_state(inst), COMPLEX_BRAS, n)
+    return float(np.abs(complex_project(difference, COMPLEX_BRAS.T, n)).max())
 
 
 class TestReconstruction:
@@ -589,7 +595,11 @@ class TestVerifyInstance:
             assert_one_pass_is_the_separate_calls(inst)
 
     @pytest.mark.parametrize(
-        "tols", [(-1.0, 1e-9), (float("nan"), 1e-9), (1e-10, float("inf")), (1e-10, True)]
+        "tols",
+        [
+            (-1.0, 1e-9), (float("nan"), 1e-9), (1e-10, float("inf")), (1e-10, True),
+            (1e-10, None), (None, 1e-9),
+        ],
     )
     def test_refuses_a_tolerance_before_building_a_state(self, monkeypatch, tols):
         def refused(inst):

@@ -93,12 +93,13 @@ def test_blocks_are_kraus_complete(y, conv):
 
 
 @st.composite
-def hard_instances(draw):
-    """Normalized instances of 1 to 3 qubits, each pair's |det| log-uniform in [1e-12, 0.5]."""
-    n = draw(st.integers(min_value=1, max_value=3))
+def hard_instances(draw, max_qubits: int = 3, min_log_det: float = -12.0):
+    """Normalized instances of 1 to ``max_qubits`` qubits, each pair's |det| log-uniform
+    in [10^``min_log_det``, 0.5]."""
+    n = draw(st.integers(min_value=1, max_value=max_qubits))
     conv = draw(conventions)
     log_dets = draw(
-        st.lists(st.floats(min_value=-12.0, max_value=math.log10(0.5)), min_size=n, max_size=n)
+        st.lists(st.floats(min_value=min_log_det, max_value=math.log10(0.5)), min_size=n, max_size=n)
     )
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     pairs = tuple(pair_with_abs_det(rng, 10.0**d) for d in log_dets)
@@ -164,6 +165,57 @@ def test_a_pair_exactly_at_the_tolerance_is_not_invertible(inst, data):
     records = enumerate_outcomes(inst, below)
     assert all(r.invertible for r in records)
     assert all(r.recovered_fidelity is not None for r in records if r.probability > 0.0)
+
+
+U = np.finfo(np.float64).eps / 2  # the unit roundoff, 2^-53
+
+
+@settings(max_examples=100, deadline=None)
+@given(hard_instances(4, -6.0), st.data(), st.floats(min_value=-15.0, max_value=-1.0))
+def test_recovery_from_a_perturbed_collapsed_state(inst, data, log_size):
+    """Recovering y + delta in place of the collapsed state y moves the normalized
+    recovered state by at most 2 K |delta| / |y|, plus rounding, with K = prod kappa_i
+    and kappa_i = smax_i / smin_i of pair i's M (N <= 4, 2-norms throughout).
+
+    Exactly, recovery is z = A y normalized, A = (x)_i sigma_{r_i}^-1 M_i^-1.  The
+    sigmas are unitary, so A's singular values are products of the 1 / s_{j,i}:
+    |A| = prod 1 / smin_i and smin(A) = prod 1 / smax_i.  For any a, b,
+    |a/|a| - b/|b|| <= |a - b| / |a| + ||b| - |a|| / |a| <= 2 |a - b| / |a|, and
+    |A delta| / |A y| <= |A| |delta| / (smin(A) |y|) = K |delta| / |y|: c = 2.
+
+    Rounding, in units of u = 2^-53:
+    - The computed inverse blocks are adj(M) / det, sigma^-1 times that exactly: the
+      adjugate's entries are M's, the sigmas' are 0, +-1 and +-i.  An error in det
+      scales every recovered state alike and normalization removes it; each
+      division errs by at most 6u per entry, so |E| <= 6 sqrt2 u |B| and a block's
+      kappa grows by at most a factor 1 + 17 u kappa_i.  np.linalg.svd's kappa_i errs
+      by at most another 2 u kappa_i, hence K's factors kappa_i (1 + 20 u kappa_i).
+    - A pair step writes F0 t0 + F1 t1: a complex product errs by at most sqrt5 u
+      relative, the add by u, so each output errs by at most 4u (|F| |t|), which is
+      at most 4 sqrt2 u |F| |t| in norm.  Carried through the later steps, N steps
+      leave 1.01 * 4 sqrt2 N u K |A y| at most, which moves the unit vector by
+      twice that, 8.1 sqrt2 N u K.
+    - The norm of 2^N amplitudes and the division by it err by (2^(N+1) + 3) u.
+    - The delta that is applied is fl(y + delta) - y; its norm over |y|, computed
+      from floats, is low by at most 2 (2^(N+1) + 2) u + u <= 80 u relatively.
+
+    Both recoveries carry the rounding terms, so the bound is
+    2 K (r (1 + 80u) + 8.1 sqrt2 N u) + 2 (2^(N+1) + 3) u for the computed r.
+    """
+    n = inst.num_qubits
+    out = data.draw(st.tuples(*[results] * n))
+    y = collapsed_state(inst, out).amps
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    delta = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    moved_y = y + delta * (10.0**log_size * np.linalg.norm(y) / np.linalg.norm(delta))
+    recovered, _ = recover(StateVector(n, y), inst, out)
+    moved, _ = recover(StateVector(n, moved_y), inst, out)
+
+    singular = [np.linalg.svd(p.amplitude_matrix(), compute_uv=False) for p in inst.channel.pairs]
+    k = math.prod(s[0] / s[1] * (1 + 20 * U * s[0] / s[1]) for s in singular)
+    r = np.linalg.norm(moved_y - y) / np.linalg.norm(y)
+    bound = 2 * k * (r * (1 + 80 * U) + 8.1 * math.sqrt(2) * n * U) + 2 * (2 ** (n + 1) + 3) * U
+    assert np.linalg.norm(moved.amps - recovered.amps) <= bound
 
 
 @st.composite
