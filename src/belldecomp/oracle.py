@@ -1,26 +1,25 @@
 """Brute-force state-vector oracle for the per-pair block predictions.
 
-The oracle holds the full joint state of all 3N qubits in measurement order
-and projects the measured qubits onto explicit Bell bras.  It deliberately
-never touches the decomposition module's blocks: the only shared ingredients
-are the raw Bell basis vectors, the raw input and pair amplitudes and the
-generic tensor utilities, so agreement between the two routes is
-meaningful.  Only ``_oracle_pass``, behind ``cross_check`` and
+The oracle projects the input and pair amplitudes onto explicit Bell bras.
+It deliberately never touches the decomposition module's blocks: the only
+shared ingredients are the raw Bell basis vectors, the raw input and pair
+amplitudes and the generic tensor utilities, so agreement between the two
+routes is meaningful.  Only ``_oracle_pass``, behind ``cross_check`` and
 ``verify_instance``, reads the block predictions, to compare them.
 
-``joint_state`` builds the state as ``np.kron`` products, and
-``rearrange_for_measurement`` reorders its qubits with one transpose and one
-copy: the reference that ``_measurement_state`` is held to.  It multiplies
-the same products straight into measurement order: 16 * 8^N bytes, 268 MB
-at N = 8, the one large array the checks hold.
-
 Every Bell bra is real (entries 0 and +-1/sqrt(2)), so contracting a pair
-runs on the state's interleaved (re, im) float64 view as real matrix
-products.  The Bell basis is orthonormal, so the residuals of all outcomes
-are R = U S, for the state S and the real orthogonal U, the tensor product
-of one (4, 4) matrix of bras per pair, and U^T P - S = U^T (P - R) for any
-P.  ``_transform`` turns S into R and back in place, and every check runs on
-that one array; ``bell_project`` contracts one bra per pair into new arrays.
+runs on the interleaved (re, im) float64 view as real matrix products.  The
+Bell basis is orthonormal, so the residuals of all outcomes are R = U S, for
+the measurement-order state S of all 3N qubits and the real orthogonal U,
+the tensor product of one (4, 4) matrix of bras per pair, and
+U^T P - S = U^T (P - R) for any P.  Pair i's bras act only on input qubit i
+and the sender's half of pair i, which no later pair's amplitudes touch, so
+``_residual_state`` contracts each pair as it enters and builds R without S:
+16 * 8^N bytes, 268 MB at N = 8, the one large array the checks hold.
+``_transform`` turns R back with U^T.  ``joint_state`` and
+``rearrange_for_measurement`` build S itself, as ``np.kron`` products moved
+into measurement order, and ``bell_project`` contracts one bra per pair of
+it into new arrays: the brute-force route that R is held to.
 """
 
 from __future__ import annotations
@@ -63,8 +62,8 @@ __all__ = [
     "verify_instance",
 ]
 
-# 3*8 = 24 qubits, i.e. 2^24 amplitudes (268 MB), is the largest joint state
-# we build.
+# 8^8 = 2^24 amplitudes (268 MB), S or R of 3*8 = 24 qubits, is the largest
+# state built.
 ORACLE_CAP = 8
 
 
@@ -80,19 +79,19 @@ def _real_bras() -> np.ndarray:
 
 _BELL_BRAS = _real_bras()
 
-# Float columns per matrix product in ``bell_project`` and ``_transform``: 1,024
+# Float columns per matrix product in ``bell_project`` and ``_bra_pass``: 1,024
 # floats are 512 complex amplitudes.  With OpenBLAS on 2 threads, a (1, 4) x
 # (4, 1024) complex product, 2,048 floats wide, already ran threaded and
 # stalled for 5-8 ms (2-CPU Xeon); products 512 complex columns wide stayed on
 # one thread.
 _BLAS_COLUMNS = 1024
-_SLAB = 1 << 15  # floats in ``_transform``'s one scratch slab: 256 KiB
+_SLAB = 1 << 15  # floats in ``_bra_pass``'s scratch slab: 256 KiB
 
 
 def _check_cap(n: int) -> None:
     if n > ORACLE_CAP:
         raise ValueError(
-            f"oracle holds the full joint state and supports at most {ORACLE_CAP} "
+            f"oracle holds 8^N amplitudes and supports at most {ORACLE_CAP} "
             f"qubit(s), got {n}"
         )
 
@@ -129,70 +128,71 @@ def rearrange_for_measurement(js: StateVector, inst: TeleportationInstance) -> S
     return StateVector(3 * n, amps)
 
 
-def _measurement_state(inst: TeleportationInstance) -> np.ndarray:
-    """The amplitudes of ``rearrange_for_measurement(joint_state(inst), inst)``, built in place.
+def _residual_state(inst: TeleportationInstance) -> np.ndarray:
+    """Every outcome's residual, R = U S, built without the state S.
 
-    The axes are (a1, s1, ..., aN, sN, b1, ..., bN): input qubit i, the
-    sender's half of pair i, then the receiver's halves.  Every amplitude is
-    the input amplitude times pair 1's, times pair 2's and so on, multiplied
-    in ``np.kron``'s order, so the result is bit for bit the transposed
-    ``joint_state``, without building it.  Pair i's factor fills its s_i and
-    b_i axes, one of its four amplitudes at a time, so each product runs
-    over long strides.  The peak is the result and the step before it, a
-    quarter of its size.
+    Pair by pair, each of the pair's four amplitudes multiplies the running
+    state, in ``np.kron``'s order, into its new s_i and b_i axes; then
+    ``_bra_pass`` contracts the measured axis (a_i, s_i), after the i result
+    axes, with ``_BELL_BRAS``.  No later pair touches a_i or s_i, so this is
+    U S to rounding, at about 4/3 of one full-size pass.  R's axes are
+    (r1, ..., rN, b1, ..., bN).  The peak is R and either the step before it,
+    a quarter of its size, or the slab.
     """
     n = inst.num_qubits
     _check_cap(n)
-    t = inst.input_state.amps.reshape((2, 1) * n + (1,) * n)
+    t = inst.input_state.amps
     for i, pair in enumerate(inst.channel.pairs):
         y = pair.y.reshape(2, 2)  # (first qubit, second qubit)
         if inst.convention is PairingConvention.BOB_HOLDS_FIRST:
             y = y.T
-        axes = (2 * i + 1, 2 * n + i)  # the sender's and the receiver's half
-        shape = list(t.shape)
-        shape[axes[0]] = shape[axes[1]] = 2
-        # Rebinding src first frees the step before t, which the last src viewed.
-        src = np.moveaxis(t, axes, (0, 1))[0, 0]
-        new = np.empty(shape, dtype=np.complex128)
-        dest = np.moveaxis(new, axes, (0, 1))
+        # The i results and a_i, the later inputs, the receiver's i halves.
+        src = t.reshape(2 * 4**i, 1 << n - i - 1, 1 << i)
+        t = np.empty((len(src), 2) + src.shape[1:] + (2,), dtype=np.complex128)
         for s, b in np.ndindex(2, 2):
-            np.multiply(src, y[s, b], out=dest[s, b])
-        t = new
+            np.multiply(src, y[s, b], out=t[:, s, :, :, b])
+        del src  # frees the step before, a quarter of t, before the pass's slab
+        _bra_pass(t.view(np.float64), i, _BELL_BRAS)
     return t.reshape(-1)
+
+
+def _bra_pass(t: np.ndarray, i: int, matrix: np.ndarray) -> None:
+    """Contract the axis of 4 after i leading axes of 4 of a C-contiguous float view
+    with a real (4, 4) matrix, in place: in ``bell_project``'s blocks, as many
+    (4, block) pieces at a time as fill the slab, the one array allocated.
+    """
+    slab = np.empty(min(_SLAB, t.size))
+    rows, cols = 4**i, t.size >> 2 * i + 2
+    block = min(cols, _BLAS_COLUMNS)
+    pieces = t.reshape(rows, 4, cols // block, block).swapaxes(1, 2)
+    # A slab takes dq blocks of each of dr rows; each divides its axis.
+    dq = min(cols // block, _SLAB // (4 * block))
+    dr = _SLAB // (4 * block * dq)
+    for r, q in itertools.product(range(0, rows, dr), range(0, cols // block, dq)):
+        part = pieces[r : r + dr, q : q + dq]
+        out = slab[: part.size].reshape(part.shape)
+        np.matmul(matrix, part, out=out)
+        part[...] = out
 
 
 def _transform(amps: np.ndarray, matrix: np.ndarray) -> None:
     """Contract each measured pair of a C-contiguous measurement-order state with a real
-    (4, 4) matrix, in place.
+    (4, 4) matrix, in place, one ``_bra_pass`` per pair.
 
-    Pair i's measured axis becomes the matrix's row index: ``_BELL_BRAS``
-    turns the state into the residuals, ``bell_project``'s rows in outcome
-    order, and ``_BELL_BRAS.T`` turns them back.  The float view is cut as
-    in ``bell_project``; as many (4, block) pieces as fill the slab, the only
-    array allocated, are multiplied into it and copied back.
+    Pair i's measured axis becomes the matrix's row index: ``_BELL_BRAS.T``
+    turns the residuals back into U^T R, for ``verify_instance``, and the
+    tests turn a state into its residuals with ``_BELL_BRAS``.
     """
-    t = amps.view(np.float64)
-    slab = np.empty(_SLAB)
     for i in range(amps.size.bit_length() // 3):  # 8^N amplitudes: N pairs
-        rows, cols = 4**i, t.size >> 2 * i + 2
-        block = min(cols, _BLAS_COLUMNS)
-        pieces = t.reshape(rows, 4, cols // block, block).swapaxes(1, 2)
-        # A slab takes dq blocks of each of dr rows; each divides its axis.
-        dq = min(cols // block, _SLAB // (4 * block))
-        dr = _SLAB // (4 * block * dq)
-        for r, q in itertools.product(range(0, rows, dr), range(0, cols // block, dq)):
-            part = pieces[r : r + dr, q : q + dq]
-            out = slab[: part.size].reshape(part.shape)
-            np.matmul(matrix, part, out=out)
-            part[...] = out
+        _bra_pass(amps.view(np.float64), i, matrix)
 
 
 def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
     """Contract the measured qubits of a rearranged state against Bell bras.
 
     Returns the receiver's unnormalized residual; summed over all outcomes the
-    squared norms add up to the total squared norm of ``rs``.  This is one
-    row of the residuals ``cross_check`` makes of all outcomes.  Pair by
+    squared norms add up to the total squared norm of ``rs``.  To rounding,
+    it is one row of the residuals ``cross_check`` builds.  Pair by
     pair, the pair's row of ``_BELL_BRAS`` multiplies the leading axis of the
     float view of a C-contiguous copy of ``rs.amps`` (no copy when they
     already are; any ``StateVector`` works), in blocks of ``_BLAS_COLUMNS``
@@ -252,11 +252,11 @@ class VerificationReport:
 def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
     """Compare every outcome's block prediction against the projected residual.
 
-    The state is turned into every outcome's residual in place, and the
-    predictions are compared with their rows chunk by chunk.  Memory holds
-    the 16 * 8^N-byte state and, while it is built, its last step, a quarter
-    of its size; then a 256 KiB slab and chunks of 4^4 predicted rows: about
-    340 MB at N = 8.  ``worst_outcome`` is the first outcome in lexicographic
+    Every outcome's residual is built, and the predictions are compared with
+    their rows chunk by chunk.  Memory holds the 16 * 8^N-byte residuals and,
+    while the last pair enters, the step before, a quarter of their size;
+    then chunks of 4^4 predicted rows: about 340 MB at N = 8.
+    ``worst_outcome`` is the first outcome in lexicographic
     order that reaches ``max_abs_diff``, or the first whose difference is
     NaN.  ``tol`` must be a finite number >= 0, or ValueError is raised
     before any state is built.
@@ -281,9 +281,9 @@ def verify_instance(
 
 
 def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
-    """``cross_check``'s report, or given a ``tol_inv``, even None, ``verify_instance``'s.
+    """``cross_check``'s report, or given a valid ``tol_inv``, ``verify_instance``'s.
 
-    The state S becomes R, and each chunk of predictions c is compared with
+    The residuals R are built, and each chunk of predictions c is compared with
     its rows: the largest |R - c| and its first flat argmax, through one
     complex and one float chunk buffer.  A later chunk must be strictly
     larger, and the first NaN stands.  Given ``tol_inv``, the rows are then
@@ -294,10 +294,9 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
     tol_eq = _valid_tol(tol_eq)
     verify = bool(tol_inv)
     bad = _non_invertible_pairs(inst, *tol_inv) if verify else ()
-    state = _measurement_state(inst)
+    state = _residual_state(inst)
     overflow = verify and not bad and inst._recovery_matrix is None
     recovery = verify and not (bad or overflow)
-    _transform(state, _BELL_BRAS)
     n = inst.num_qubits
     residuals = state.reshape(4**n, -1)
     # Recovery reads the table's chunks; the comparison alone takes smaller ones.

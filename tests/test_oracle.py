@@ -25,7 +25,7 @@ from belldecomp import (
     verify_instance,
 )
 from belldecomp import oracle
-from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _measurement_state, _transform
+from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _residual_state, _transform
 from belldecomp.protocol import _CHECK_PAIRS, _TABLE_PAIRS, _chunks
 from test_protocol import raw_table
 
@@ -71,7 +71,7 @@ class TestJointState:
         state = StateVector(n, np.eye(1 << n)[0])
         ch = Channel(tuple(mes_pair() for _ in range(n)))
         inst = TeleportationInstance(state, ch, BHS)
-        for build in (joint_state, _measurement_state, cross_check, verify_instance):
+        for build in (joint_state, _residual_state, cross_check, verify_instance):
             with pytest.raises(ValueError, match=f"supports at most {ORACLE_CAP} qubit"):
                 build(inst)
 
@@ -87,16 +87,41 @@ def bits(a: np.ndarray) -> np.ndarray:
     return a.view(np.uint64)
 
 
-class TestMeasurementState:
+def measurement_state(inst: TeleportationInstance) -> np.ndarray:
+    """A writable copy of the rearranged joint state's amplitudes."""
+    return rearrange_for_measurement(joint_state(inst), inst).amps.copy()
+
+
+class TestResidualState:
     @pytest.mark.parametrize("conv", [BHF, BHS])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
-    def test_is_the_rearranged_joint_state_bit_for_bit(self, n, conv):
+    def test_is_the_pairwise_projection_bit_for_bit(self, n, conv):
         rng = np.random.default_rng(90 + n)
-        for inst in (random_instance(n, rng, conv), with_product_pair(random_instance(n, rng, conv))):
-            expected = rearrange_for_measurement(joint_state(inst), inst).amps
-            got = _measurement_state(inst)
-            assert got.shape == expected.shape == (1 << (3 * n),)
-            assert np.array_equal(bits(got), bits(expected))
+        inst = random_instance(n, rng, conv)
+        for case in (inst, with_product_pair(random_instance(n, rng, conv)), with_phased_input(inst)):
+            expected = pairwise_residuals(case)
+            got = _residual_state(case)
+            assert got.shape == (1 << (3 * n),) and got.flags.c_contiguous
+            assert np.array_equal(bits(got), bits(expected.reshape(-1)))
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_holds_the_result_and_its_last_step_or_the_slab(self, n, conv):
+        """The peak is the 16 * 8^N-byte result and either, while the last pair's
+        amplitudes go in, the step before it, a quarter of its size, or, while a pass
+        runs, the slab of at most 8 * ``_SLAB`` bytes; never both, and never the state S
+        beside R.  Each of the four multiplies writes a strided view, which numpy's
+        iterator buffers through at most ``np.getbufsize()`` complex elements."""
+        inst = random_instance(n, np.random.default_rng(95 + n), conv)
+        _residual_state(inst)
+        tracemalloc.start()
+        try:
+            _residual_state(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        result = 16 * 8**n
+        assert peak <= result + max(result // 4 + 16 * np.getbufsize(), 8 * _SLAB) + 4096
 
 
 class TestRearrangeForMeasurement:
@@ -193,16 +218,17 @@ CHECKS = [cross_check, lambda inst: verify_instance(inst).oracle]
 
 
 def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
-    """Max |diff| and the first outcome reaching it, one ``bell_project`` per outcome.
+    """Max |diff| and the first outcome reaching it, one row of ``pairwise_residuals``
+    per outcome.
 
     The predictions come from ``oracle._outcome_chunks``, so a test that patches
     it patches them here too.
     """
-    rs = rearrange_for_measurement(joint_state(inst), inst)
+    residuals = pairwise_residuals(inst)
     predicted = np.concatenate([chunk.copy() for _, chunk in oracle._outcome_chunks(inst)])
     max_diff, worst = -1.0, ()
-    for out, row in zip(outcomes(inst.num_qubits), predicted):
-        diff = float(np.abs(bell_project(rs, out).amps - row).max())
+    for out, residual, row in zip(outcomes(inst.num_qubits), residuals, predicted):
+        diff = float(np.abs(residual - row).max())
         if diff > max_diff:
             max_diff, worst = diff, out
     return max_diff, worst
@@ -210,15 +236,14 @@ def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int
 
 class TestProjectAllOutcomes:
     def test_rows_match_bell_project(self):
-        """The rows of the transformed state, and of ``complex_project`` with all four
-        bras per pair, are each outcome's ``bell_project``."""
+        """The rows of the residual state, and of ``complex_project`` with all four
+        bras per pair, are each outcome's ``bell_project`` to rounding."""
         rng = np.random.default_rng(86)
         for n in (1, 2, 3, 4):
             for conv in (BHF, BHS):
                 inst = random_instance(n, rng, conv)
                 rs = rearrange_for_measurement(joint_state(inst), inst)
-                residuals = _measurement_state(inst)
-                _transform(residuals, _BELL_BRAS)
+                residuals = _residual_state(inst)
                 for table in (complex_project(rs.amps, COMPLEX_BRAS, n), residuals.reshape(4**n, -1)):
                     assert table.shape == (4**n, 1 << n)
                     for row, out in zip(table, outcomes(n)):
@@ -244,7 +269,7 @@ class TestProjectAllOutcomes:
         inst = TeleportationInstance(
             StateVector(n, np.eye(1 << n)[0]), Channel((mes_pair(),) * n), BHS
         )
-        exact = exact_residuals(inst)
+        exact = pairwise_residuals(inst)
         assert len(set(np.abs(exact).max(axis=1).tolist())) == 1
         for first, second in [(21, 50), (27, 28)]:
             predicted = exact.copy()
@@ -259,19 +284,13 @@ class TestProjectAllOutcomes:
         """Rows 21 and 50, in different chunks, hold NaN, after row 5 misses by 1.0."""
         n = 3
         inst = random_instance(n, np.random.default_rng(89), BHS)
-        predicted = exact_residuals(inst)
+        predicted = pairwise_residuals(inst)
         predicted[5, 0] += 1.0
         predicted[21, 3] = predicted[50, 0] = np.nan
         patch_predictions(monkeypatch, predicted)
         report = check(inst)
         assert np.isnan(report.max_abs_diff) and report.passed is False
         assert report.worst_outcome == outcomes(n)[21]
-
-
-def exact_residuals(inst: TeleportationInstance) -> np.ndarray:
-    """Every outcome's residual, one ``bell_project`` per outcome."""
-    rs = rearrange_for_measurement(joint_state(inst), inst)
-    return np.array([bell_project(rs, out).amps for out in outcomes(inst.num_qubits)])
 
 
 def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
@@ -290,19 +309,42 @@ def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
 COMPLEX_BRAS = np.conj([bell_state(a) for a in (1, 2, 3, 4)])
 
 
+def project_axis(t: np.ndarray, bras: np.ndarray, rows: int) -> np.ndarray:
+    """The axis of 4 after ``rows`` leading rows of ``t`` against the four rows of
+    ``bras``, ``COMPLEX_BRAS`` or its transpose, from complex matrix products in
+    blocks of 512 complex columns, into a new array."""
+    cols = t.size // (4 * rows)
+    block = min(cols, 512)
+    out = np.empty((rows, 4, cols // block, block), dtype=np.complex128)
+    x = t.reshape(rows, 4, cols // block, block)
+    np.matmul(bras, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
+    return out
+
+
 def complex_project(amps: np.ndarray, bras: np.ndarray, n: int) -> np.ndarray:
-    """Every outcome's residual from complex matrix products: each pair's measured
-    axis against the four rows of ``bras``, ``COMPLEX_BRAS`` or its transpose, in
-    blocks of 512 complex columns."""
-    t, rows = amps, 1
-    for _ in range(n):
-        cols = t.size // (4 * rows)
-        block = min(cols, 512)
-        out = np.empty((rows, 4, cols // block, block), dtype=np.complex128)
-        x = t.reshape(rows, 4, cols // block, block)
-        np.matmul(bras, x.swapaxes(1, 2), out=out.swapaxes(1, 2))
-        t, rows = out, rows * 4
-    return t.reshape(rows, -1)
+    """Every outcome's residual of a measurement-order state: ``project_axis`` on each
+    pair's measured axis in turn."""
+    for i in range(n):
+        amps = project_axis(amps, bras, 4**i)
+    return amps.reshape(4**n, -1)
+
+
+def pairwise_residuals(inst: TeleportationInstance) -> np.ndarray:
+    """Every outcome's residual, (4^N, 2^N), projected pair by pair as the pair enters:
+    each amplitude of the running state times each of the pair's, as ``np.kron``
+    multiplies, moved into place by a transpose, then ``project_axis`` on the pair's
+    measured axis.  The axes before the projection are the i results, input qubit i
+    and the sender's half of pair i, the later input qubits, and the receiver's halves
+    of pairs 1..i."""
+    n = inst.num_qubits
+    t = inst.input_state.amps
+    for i, pair in enumerate(inst.channel.pairs):
+        y = pair.y.reshape(2, 2)
+        if inst.convention is BHF:
+            y = y.T  # (the sender's half, the receiver's half)
+        step = np.multiply.outer(t.reshape(2 * 4**i, 1 << n - i - 1, 1 << i), y)
+        t = project_axis(np.ascontiguousarray(step.transpose(0, 3, 1, 2, 4)), COMPLEX_BRAS, 4**i)
+    return t.reshape(4**n, -1)
 
 
 def with_phased_input(inst: TeleportationInstance) -> TeleportationInstance:
@@ -313,14 +355,12 @@ def with_phased_input(inst: TeleportationInstance) -> TeleportationInstance:
 
 
 def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int, ...]]:
-    """Max |diff| and the first outcome reaching it, from the transposed ``np.kron``
-    joint state projected by ``complex_project`` against the whole predicted table."""
-    n = inst.num_qubits
-    rs = rearrange_for_measurement(joint_state(inst), inst)
+    """Max |diff| and the first outcome reaching it, from ``pairwise_residuals`` against
+    the whole predicted table."""
     predicted, _ = raw_table(inst)
-    row_diff = np.abs(complex_project(rs.amps, COMPLEX_BRAS, n) - predicted).max(axis=1)
+    row_diff = np.abs(pairwise_residuals(inst) - predicted).max(axis=1)
     worst = int(np.argmax(row_diff))
-    return float(row_diff[worst]), outcomes(n)[worst]
+    return float(row_diff[worst]), outcomes(inst.num_qubits)[worst]
 
 
 class TestFloatViewProjection:
@@ -345,7 +385,7 @@ class TestFloatViewProjection:
         inst = random_instance(n, rng, conv)
         rows = range(4**n) if n <= 3 else rng.choice(4**n, 32, replace=False)
         for case in (inst, with_product_pair(inst), with_phased_input(inst)):
-            rs = _measurement_state(case)
+            rs = measurement_state(case)
             expected = complex_project(rs, COMPLEX_BRAS, n)
             state = StateVector(3 * n, rs)
             for k in rows:
@@ -359,7 +399,7 @@ class TestFloatViewProjection:
         """It allocates the ``_SLAB``-float slab and nothing the size of the state, and
         the transposed bras turn the residuals back into the state: U is orthogonal."""
         inst = random_instance(n, np.random.default_rng(147), BHS)
-        state = _measurement_state(inst)
+        state = measurement_state(inst)
         amps = state.copy()
         tracemalloc.start()
         try:
@@ -484,13 +524,13 @@ SCRATCH_CHUNKS = {cross_check: 4.5, verify_instance: 6}
 class TestMemory:
     @pytest.mark.parametrize("check, pairs", [(cross_check, _CHECK_PAIRS), (verify_instance, _TABLE_PAIRS)])
     def test_holds_the_state_its_last_step_the_slab_and_chunk_scratch(self, check, pairs):
-        """At N = 7 a call holds the 16 * 8^N-byte measurement state; while it is built,
-        its last step, a quarter of its size; the transform's slab, 8 * ``_SLAB``
+        """At N = 7 a call holds the 16 * 8^N-byte residuals; while they are built,
+        the step before, a quarter of their size; a pass's slab, 8 * ``_SLAB``
         bytes; the chunk scratch of ``SCRATCH_CHUNKS``, chunks of 4^4 predicted rows
         for ``cross_check`` and of 4^5 for ``verify_instance``, 16 * 4^k * 2^N bytes;
         and numpy's iterator buffers, ``np.getbufsize()`` elements for each of up to
-        two complex operands.  The transform and the comparison run once the state is
-        built, so the bound, their sum, is loose by the quarter.  numpy reports its
+        two complex operands.  The comparison runs once the residuals are built, so
+        the bound, the sum of all of these, is loose by the quarter.  numpy reports its
         allocations to tracemalloc; the instance's cached W^T, 16 * 4^N bytes, is
         built by the first call, outside the trace."""
         n = 7
@@ -516,12 +556,12 @@ def swapped_predictions(inst: TeleportationInstance) -> np.ndarray:
 
 def whole_table_reconstruction(inst: TeleportationInstance) -> float:
     """Max |U^T (P - R)| from whole arrays: P the rows sqrt(p) c of
-    ``enumerate_outcomes``, R the residuals of ``complex_project``, U^T as
+    ``enumerate_outcomes``, R the residuals of ``pairwise_residuals``, U^T as
     ``complex_project`` with the transposed bras."""
     n = inst.num_qubits
     table = enumerate_outcomes(inst)
     scaled = table.collapsed * np.sqrt(table.probabilities)[:, None]
-    difference = scaled - complex_project(_measurement_state(inst), COMPLEX_BRAS, n)
+    difference = scaled - pairwise_residuals(inst)
     return float(np.abs(complex_project(difference, COMPLEX_BRAS.T, n)).max())
 
 
@@ -605,7 +645,7 @@ class TestVerifyInstance:
         def refused(inst):
             raise AssertionError("the state was built")
 
-        monkeypatch.setattr(oracle, "_measurement_state", refused)
+        monkeypatch.setattr(oracle, "_residual_state", refused)
         inst = random_instance(2, np.random.default_rng(170), BHS)
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             verify_instance(inst, *tols)

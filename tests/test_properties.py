@@ -14,7 +14,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_oracle import assert_one_pass_is_the_separate_calls
+from test_oracle import (
+    COMPLEX_BRAS,
+    assert_one_pass_is_the_separate_calls,
+    complex_project,
+    with_phased_input,
+)
 from test_protocol import InverseCdf, pair_with_abs_det
 
 from belldecomp import (
@@ -28,14 +33,18 @@ from belldecomp import (
     collapsed_state,
     cross_check,
     enumerate_outcomes,
+    joint_state,
     pair_determinant,
+    random_instance,
     random_pair,
     random_state,
+    rearrange_for_measurement,
     recover,
     sample_outcome,
     sub_matrix,
 )
 from belldecomp.decomposition import SIGMA, inverse_pair_blocks, inverse_sub_matrix, pair_blocks
+from belldecomp.oracle import _residual_state
 
 PAULIS = [
     np.eye(2),
@@ -216,6 +225,57 @@ def test_recovery_from_a_perturbed_collapsed_state(inst, data, log_size):
     r = np.linalg.norm(moved_y - y) / np.linalg.norm(y)
     bound = 2 * k * (r * (1 + 80 * U) + 8.1 * math.sqrt(2) * n * U) + 2 * (2 ** (n + 1) + 3) * U
     assert np.linalg.norm(moved.amps - recovered.amps) <= bound
+
+
+@st.composite
+def oracle_instances(draw):
+    """Normalized instances of 1 to 5 qubits with random pairs, of which one may be the
+    product pair |00> and one may have |det| log-uniform in [1e-9, 0.5], and an input
+    that may be phased, amplitude k turned by e^(i k)."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    inst = random_instance(n, rng, draw(conventions))
+    pairs = list(inst.channel.pairs)
+    near_singular = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if near_singular is not None:
+        log_det = draw(st.floats(min_value=-9.0, max_value=math.log10(0.5)))
+        pairs[near_singular] = pair_with_abs_det(rng, 10.0**log_det)
+    product = draw(st.none() | st.integers(min_value=0, max_value=n - 1))
+    if product is not None:
+        pairs[product] = EntangledPair(np.eye(4)[0])
+    inst = TeleportationInstance(inst.input_state, Channel(tuple(pairs)), inst.convention)
+    return with_phased_input(inst) if draw(st.booleans()) else inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_instances())
+def test_the_residual_state_is_the_joint_state_projection_to_rounding(inst):
+    """Each residual the oracle builds pair by pair is within 2 gamma T of the rearranged
+    ``np.kron`` joint state projected by ``complex_project``.
+
+    Both routes evaluate the same sum over the 2^N terms
+    +-b^N x[a] prod_i y_i[s_i, b_i] of a residual, b being fl(1/sqrt2), the one
+    nonzero magnitude of both routes' bras.  Each applies to each term N complex
+    products, and per pair one product by b and one add: the joint state takes the
+    products first and projects after, the builder takes pair i's product and then
+    its projection.  A complex product errs by at most sqrt5 u relative, a product by
+    b or an add by u, a product by a zero bra and an add of its exact zero not at all,
+    and every error is relative to the value it rounds, a sum of some of the terms.
+    So each route is within gamma T of the exact sum, for
+    gamma = (1 + sqrt5 u)^N (1 + u)^(2N) - 1 and T the sum of the terms' magnitudes.
+    T is computed as ``complex_project`` of |S| with |bras|: the computed S errs by
+    at most (1 + sqrt5 u)^N - 1 relative, np.abs by 2u, and the projection of
+    nonnegative numbers by (1 + u)^(2N) - 1, so the computed T_c is at least
+    T (1 - 2 gamma), and the bound is 2 gamma T_c / (1 - 2 gamma).  With |det| >= 1e-9 and N <= 5 no product nears the
+    subnormal range, so no underflow term is needed.
+    """
+    n = inst.num_qubits
+    state = rearrange_for_measurement(joint_state(inst), inst).amps
+    expected = complex_project(state, COMPLEX_BRAS, n).reshape(-1)
+    magnitudes = complex_project(np.abs(state).astype(complex), np.abs(COMPLEX_BRAS), n).real
+    gamma = (1 + math.sqrt(5) * U) ** n * (1 + U) ** (2 * n) - 1
+    bound = 2 * gamma * magnitudes.reshape(-1) / (1 - 2 * gamma)
+    assert (np.abs(_residual_state(inst) - expected) <= bound).all()
 
 
 @st.composite
