@@ -141,6 +141,8 @@ def decomposition_matrix(
     Factor i acts on the receiver's qubit from pair i, the first factor on
     the most significant bit.
     """
+    if not isinstance(channel, Channel):
+        raise ValueError(f"channel must be a Channel, got {type(channel).__name__}")
     out = validate_outcome(outcome, len(channel.pairs))
     return reduce(
         np.kron, [pair_blocks(p, convention)[r - 1] for p, r in zip(channel.pairs, out)]

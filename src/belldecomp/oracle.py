@@ -16,10 +16,11 @@ U^T P - S = U^T (P - R) for any P.  Pair i's bras act only on input qubit i
 and the sender's half of pair i, which no later pair's amplitudes touch, so
 ``_residual_state`` contracts each pair as it enters and builds R without S:
 16 * 8^N bytes, 268 MB at N = 8, the one large array the checks hold.
-``_transform`` turns R back with U^T.  ``joint_state`` and
-``rearrange_for_measurement`` build S itself, as ``np.kron`` products moved
-into measurement order, and ``bell_project`` contracts one bra per pair of
-it into new arrays: the brute-force route that R is held to.
+``verify_instance`` turns R back with U^T, one ``_bra_pass`` per pair.
+``joint_state`` and ``rearrange_for_measurement`` build S itself, as
+``np.kron`` products moved into measurement order, and ``bell_project``
+contracts one bra per pair of it into new arrays: the brute-force route that
+R is held to.
 """
 
 from __future__ import annotations
@@ -175,18 +176,6 @@ def _bra_pass(t: np.ndarray, i: int, matrix: np.ndarray) -> None:
         part[...] = out
 
 
-def _transform(amps: np.ndarray, matrix: np.ndarray) -> None:
-    """Contract each measured pair of a C-contiguous measurement-order state with a real
-    (4, 4) matrix, in place, one ``_bra_pass`` per pair.
-
-    Pair i's measured axis becomes the matrix's row index: ``_BELL_BRAS.T``
-    turns the residuals back into U^T R, for ``verify_instance``, and the
-    tests turn a state into its residuals with ``_BELL_BRAS``.
-    """
-    for i in range(amps.size.bit_length() // 3):  # 8^N amplitudes: N pairs
-        _bra_pass(amps.view(np.float64), i, matrix)
-
-
 def bell_project(rs: StateVector, outcome: Sequence[int]) -> StateVector:
     """Contract the measured qubits of a rearranged state against Bell bras.
 
@@ -249,7 +238,7 @@ class VerificationReport:
     passed: bool
 
 
-def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> CrossCheckReport:
+def cross_check(inst: TeleportationInstance) -> CrossCheckReport:
     """Compare every outcome's block prediction against the projected residual.
 
     Every outcome's residual is built, and the predictions are compared with
@@ -258,10 +247,10 @@ def cross_check(inst: TeleportationInstance, tol: float = DEFAULT_EQ_TOL) -> Cro
     then chunks of 4^4 predicted rows: about 340 MB at N = 8.
     ``worst_outcome`` is the first outcome in lexicographic
     order that reaches ``max_abs_diff``, or the first whose difference is
-    NaN.  ``tol`` must be a finite number >= 0, or ValueError is raised
-    before any state is built.
+    NaN.  ``passed`` compares it with ``DEFAULT_EQ_TOL``; ``verify_instance``
+    gives the verdict at any tolerance.
     """
-    return _oracle_pass(inst, tol)
+    return _oracle_pass(inst, DEFAULT_EQ_TOL)
 
 
 def verify_instance(
@@ -333,7 +322,8 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
     )
     if not verify:
         return oracle
-    _transform(state, _BELL_BRAS.T)
+    for i in range(n):
+        _bra_pass(state.view(np.float64), i, _BELL_BRAS.T)
     # np.maximum, unlike max(), carries a NaN of any block through to the result.
     reconstruction = 0.0
     for block in state.reshape(-1, magnitudes.size):

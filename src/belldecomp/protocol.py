@@ -358,6 +358,8 @@ def channel_criterion(channel: Channel, tol: float = DEFAULT_INVERTIBILITY_TOL) 
     convention, so the unitary-proportionality flag is computed once per
     pair from its coefficient matrix.  ``tol`` must be a finite number >= 0.
     """
+    if not isinstance(channel, Channel):
+        raise ValueError(f"channel must be a Channel, got {type(channel).__name__}")
     diags = []
     for i, p in enumerate(channel.pairs, start=1):
         _check_unit_norm(p.squared_norm(), f"channel pair {i}")
@@ -419,7 +421,7 @@ def _chunk_rows(n: int, pairs: int) -> int:
     return 4 ** min(n - 1, pairs)
 
 
-def _chunks(n: int, pairs: int = _CHECK_PAIRS):
+def _chunks(n: int, pairs: int):
     """Each chunk's rows in the outcome table and the leading results (0-based) it fixes,
     for chunks that cover the last min(n - 1, ``pairs``) pairs."""
     size = _chunk_rows(n, pairs)
@@ -429,7 +431,7 @@ def _chunks(n: int, pairs: int = _CHECK_PAIRS):
 
 
 def _outcome_chunks(
-    inst: TeleportationInstance, table: np.ndarray | None = None, pairs: int = _CHECK_PAIRS
+    inst: TeleportationInstance, table: np.ndarray | None, pairs: int
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Each chunk's rows of the outcome table and its unnormalized collapsed states.
 

@@ -62,7 +62,7 @@ def test_criterion_1_oracle_equivalence():
             rng = np.random.default_rng(1000 + n)
             for _ in range(20):
                 inst = random_instance(n, rng, conv)
-                rep = cross_check(inst, tol=1e-10)
+                rep = cross_check(inst)
                 worst = max(worst, rep.max_abs_diff)
                 instances += 1
                 if not rep.passed:
@@ -206,7 +206,7 @@ def test_criterion_6_special_channels():
                 sub_matrix(p, 4, conv), np.array([[0, -a], [b, 0]], dtype=complex)
             )
         inst = TeleportationInstance(random_state(3, rng), Channel(pairs), conv)
-        rep = cross_check(inst, tol=1e-10)
+        rep = cross_check(inst)
         ok &= rep.passed
 
     single = EntangledPair(np.array([0.8, 0.0, 0.0, 0.6], dtype=complex))
@@ -215,7 +215,7 @@ def test_criterion_6_special_channels():
     swapped = collapsed_state(inst1, (3,))
     expected = np.array([0.8 * x.amps[1], 0.6 * x.amps[0]]) / np.sqrt(2)
     ok &= bool(np.allclose(swapped.amps, expected, atol=1e-14))
-    rep1 = cross_check(inst1, tol=1e-10)
+    rep1 = cross_check(inst1)
     ok &= rep1.passed
     report(
         6,

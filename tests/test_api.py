@@ -149,7 +149,7 @@ def test_the_oracle_uses_no_block_code():
     ]
     guarded = [(name, node) for name, node in body if name != COMPARATOR]
     assert {
-        "joint_state", "rearrange_for_measurement", "_residual_state", "_bra_pass", "_transform",
+        "joint_state", "rearrange_for_measurement", "_residual_state", "_bra_pass",
         "bell_project", "cross_check", "verify_instance",
     } <= {name for name, _ in guarded}
     reached = {name: sorted(_names_read(node) & block_side) for name, node in guarded}

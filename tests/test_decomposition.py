@@ -223,6 +223,11 @@ class TestDecompositionMatrix:
         with pytest.raises(ValueError):
             decomposition_matrix(ch, (0,), BHF)
 
+    def test_refuses_an_instance_for_its_channel(self):
+        """An instance passed for its channel raised AttributeError on ``pairs``."""
+        with pytest.raises(ValueError, match="^channel must be a Channel, got TeleportationInstance$"):
+            decomposition_matrix(mes_instance(), (1, 1), BHF)
+
 
 class TestInverseSubMatrix:
     def test_inverse_times_block_is_identity(self):

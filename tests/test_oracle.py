@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from belldecomp import (
+    DEFAULT_EQ_TOL,
     Channel,
     EntangledPair,
     PairingConvention,
@@ -25,7 +26,7 @@ from belldecomp import (
     verify_instance,
 )
 from belldecomp import oracle
-from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _residual_state, _transform
+from belldecomp.oracle import _BELL_BRAS, _SLAB, ORACLE_CAP, _bra_pass, _residual_state
 from belldecomp.protocol import _CHECK_PAIRS, _TABLE_PAIRS, _chunks
 from test_protocol import raw_table
 
@@ -225,7 +226,8 @@ def reference_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[int
     it patches them here too.
     """
     residuals = pairwise_residuals(inst)
-    predicted = np.concatenate([chunk.copy() for _, chunk in oracle._outcome_chunks(inst)])
+    chunks = oracle._outcome_chunks(inst, None, _CHECK_PAIRS)
+    predicted = np.concatenate([chunk.copy() for _, chunk in chunks])
     max_diff, worst = -1.0, ()
     for out, residual, row in zip(outcomes(inst.num_qubits), residuals, predicted):
         diff = float(np.abs(residual - row).max())
@@ -298,7 +300,7 @@ def patch_predictions(monkeypatch, predicted: np.ndarray) -> None:
     in the chunks it asks for."""
     n = predicted.shape[1].bit_length() - 1
 
-    def chunks(inst, table=None, pairs=_CHECK_PAIRS):
+    def chunks(inst, table, pairs):
         return ((rows, predicted[rows].copy()) for rows, _ in _chunks(n, pairs))
 
     monkeypatch.setattr(oracle, "_outcome_chunks", chunks)
@@ -363,6 +365,14 @@ def whole_table_cross_check(inst: TeleportationInstance) -> tuple[float, tuple[i
     return float(row_diff[worst]), outcomes(inst.num_qubits)[worst]
 
 
+def transform(amps: np.ndarray, matrix: np.ndarray) -> None:
+    """Contract each measured pair of a C-contiguous measurement-order state of 8^N
+    amplitudes with a real (4, 4) matrix, in place: ``_bra_pass`` on pair i's measured
+    axis for i = 0, ..., N - 1, as ``verify_instance`` turns its residuals back."""
+    for i in range(amps.size.bit_length() // 3):
+        _bra_pass(amps.view(np.float64), i, matrix)
+
+
 class TestFloatViewProjection:
     def test_bras_are_the_conjugated_bell_states(self):
         assert _BELL_BRAS.dtype == np.float64 and _BELL_BRAS.flags.c_contiguous
@@ -391,7 +401,7 @@ class TestFloatViewProjection:
             for k in rows:
                 row = bell_project(state, outcomes(n)[k]).amps
                 assert np.array_equal(bits(row), bits(expected[k]))
-            _transform(rs, _BELL_BRAS)
+            transform(rs, _BELL_BRAS)
             assert np.array_equal(bits(rs), bits(expected.reshape(-1)))
 
     @pytest.mark.parametrize("n", [3, 6])
@@ -403,13 +413,13 @@ class TestFloatViewProjection:
         amps = state.copy()
         tracemalloc.start()
         try:
-            _transform(amps, _BELL_BRAS)
+            transform(amps, _BELL_BRAS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 8 * _SLAB + 4096
         assert not np.array_equal(amps, state)
-        _transform(amps, _BELL_BRAS.T)
+        transform(amps, _BELL_BRAS.T)
         assert np.abs(amps - state).max() <= 1e-15
 
     def test_bell_project_takes_a_strided_state(self):
@@ -444,11 +454,6 @@ class TestCrossCheck:
         report = cross_check(random_instance(n, np.random.default_rng(130 + n), conv))
         assert report.num_outcomes == 4**n
         assert report.passed and report.max_abs_diff <= 1e-10
-
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf"), True])
-    def test_rejects_an_invalid_tolerance(self, tol):
-        with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
-            cross_check(random_instance(2, np.random.default_rng(132), BHS), tol)
 
     def test_random_instances_agree(self):
         rng = np.random.default_rng(80)
@@ -507,9 +512,9 @@ class TestCrossCheck:
 
     def test_report_fields(self):
         inst = random_instance(1, np.random.default_rng(83), BHS)
-        report = cross_check(inst, tol=1e-10)
+        report = cross_check(inst)
         assert report.num_qubits == 1
-        assert report.tolerance == 1e-10
+        assert report.tolerance == DEFAULT_EQ_TOL == 1e-10
         assert len(report.worst_outcome) == 1
 
 
@@ -649,9 +654,6 @@ class TestVerifyInstance:
         inst = random_instance(2, np.random.default_rng(170), BHS)
         with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
             verify_instance(inst, *tols)
-        if tols[0] != 1e-10:
-            with pytest.raises(ValueError, match="tolerance must be a finite number >= 0"):
-                cross_check(inst, tols[0])
 
     def test_verdicts(self):
         inst = random_instance(3, np.random.default_rng(171), BHF)

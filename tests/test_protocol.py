@@ -331,6 +331,12 @@ class TestChannelCriterion:
         with pytest.raises(ValueError, match=r"^channel pair 1 must have unit norm, got 2\.82843$"):
             channel_criterion(ch)
 
+    def test_refuses_an_instance_for_its_channel(self):
+        """An instance passed for its channel raised AttributeError on ``pairs``."""
+        inst = TeleportationInstance(StateVector(1, [1, 0]), Channel((mes_pair(),)), BHS)
+        with pytest.raises(ValueError, match="^channel must be a Channel, got TeleportationInstance$"):
+            channel_criterion(inst)
+
     def test_partially_entangled_pair_is_invertible_but_not_unitary(self):
         report = channel_criterion(Channel((diagonal_pair(0.8, 0.6),)))
         assert report.success
@@ -643,7 +649,7 @@ def raw_table(inst: TeleportationInstance) -> tuple[np.ndarray, np.ndarray]:
     ``_outcome_chunks`` writes them, and their squared norms."""
     n = inst.num_qubits
     table = np.empty((4**n, 1 << n), dtype=complex)
-    for _ in _outcome_chunks(inst, table):
+    for _ in _outcome_chunks(inst, table, _CHECK_PAIRS):
         pass
     flat = table.view(np.float64)
     return table, np.einsum("ij,ij->i", flat, flat)
@@ -886,7 +892,7 @@ def outcome_at(k: int, n: int):
 def table_probabilities(inst: TeleportationInstance) -> np.ndarray:
     """The Born probabilities of the table's rows, a chunk of rows at a time."""
     probs = []
-    for _, rows in _outcome_chunks(inst):
+    for _, rows in _outcome_chunks(inst, None, _CHECK_PAIRS):
         flat = rows.view(np.float64)
         probs.append(np.einsum("ij,ij->i", flat, flat))
     return np.concatenate(probs)
@@ -904,7 +910,7 @@ def assert_rows_are_collapsed_states(inst: TeleportationInstance) -> np.ndarray:
     table, _ = raw_table(inst)
     for k, row in enumerate(table):
         assert row.tobytes() == states[k], outcome_at(k, n)
-    for rows, predicted in _outcome_chunks(inst):
+    for rows, predicted in _outcome_chunks(inst, None, _CHECK_PAIRS):
         for k, row in zip(range(rows.start, rows.stop), predicted):
             assert row.tobytes() == states[k], outcome_at(k, n)
     return table
@@ -991,7 +997,7 @@ class TestOneOutcomeIsTheTableArithmetic:
     def test_collapsed_state_is_the_table_row(self, n, conv):
         """The rows ``_outcome_chunks`` yields are those it writes into the table."""
         inst = random_instance(n, np.random.default_rng(180 + n), conv)
-        for rows, predicted in _outcome_chunks(inst):
+        for rows, predicted in _outcome_chunks(inst, None, _CHECK_PAIRS):
             for k in {0, len(predicted) // 3, len(predicted) - 1}:
                 out = outcome_at(rows.start + k, n)
                 assert collapsed_state(inst, out).amps.tobytes() == predicted[k].tobytes(), out
