@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _integer
+from .tensor import _integer, _of_type
 
 __all__ = [
     "EntangledPair",
@@ -95,6 +95,6 @@ def pair_determinant(pair: EntangledPair) -> complex:
     Nonzero determinant is exactly the condition under which the recovery
     transforms exist; for a normalized pair 2*|det| is the concurrence.
     """
-    y = pair.y
+    y = _of_type(pair, EntangledPair, "pair must be an EntangledPair").y
     return complex(y[0] * y[3] - y[1] * y[2])
 

@@ -28,7 +28,6 @@ from .decomposition import (
     DEFAULT_INVERTIBILITY_TOL,
     NotInvertibleError,
     PairingConvention,
-    _W_OVERFLOW,
     _inverse_product,
     _valid_tol,
     decomposition_matrix,
@@ -276,8 +275,8 @@ def _verify_lines(label: str, report: VerificationReport) -> list[str]:
     tol = f"tol {report.oracle.tolerance:.3e}"
     if report.non_invertible:
         recovery = f"pair(s) {', '.join(map(str, report.non_invertible))} not invertible"
-    elif report.recovery_overflow:
-        recovery = _W_OVERFLOW
+    elif math.isnan(report.min_fidelity):
+        recovery = "recovery has no float value for an outcome of positive probability"
     else:
         recovery = f"min fidelity = {report.min_fidelity:.15f}, {tol}"
     oracle = report.oracle

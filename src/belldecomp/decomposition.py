@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channel import Channel, EntangledPair, pair_determinant
-from .tensor import _integer
+from .tensor import _integer, _of_type
 
 __all__ = [
     "DEFAULT_INVERTIBILITY_TOL",
@@ -115,10 +115,11 @@ def _invertible(det: complex, tol: float) -> bool:
 
 def _coefficient_matrix(pair: EntangledPair, convention: PairingConvention) -> np.ndarray:
     """M: the pair's coefficients as a 2x2 matrix, the receiver's qubit indexing rows."""
+    m = _of_type(pair, EntangledPair, "pair must be an EntangledPair").amplitude_matrix()
     if convention is PairingConvention.BOB_HOLDS_FIRST:
-        return pair.amplitude_matrix()
+        return m
     if convention is PairingConvention.BOB_HOLDS_SECOND:
-        return pair.amplitude_matrix().T
+        return m.T
     raise ValueError(f"unknown convention {convention!r}")
 
 
@@ -141,8 +142,7 @@ def decomposition_matrix(
     Factor i acts on the receiver's qubit from pair i, the first factor on
     the most significant bit.
     """
-    if not isinstance(channel, Channel):
-        raise ValueError(f"channel must be a Channel, got {type(channel).__name__}")
+    _of_type(channel, Channel, "channel must be a Channel")
     out = validate_outcome(outcome, len(channel.pairs))
     return reduce(
         np.kron, [pair_blocks(p, convention)[r - 1] for p, r in zip(channel.pairs, out)]
@@ -172,17 +172,13 @@ def _inverse_coefficient_matrix(
     return inverse
 
 
-# Why W has no float value although each pair inverse has; CLI verify prints it.
-_W_OVERFLOW = "the tensor product of the pair inverses leaves the float range"
-
-
 def _inverse_product(inverses: Iterable[np.ndarray]) -> np.ndarray:
     """The tensor product of the given inverses, the first factor on the most
     significant bit; NotInvertibleError when an entry leaves the float range."""
     with np.errstate(over="ignore", invalid="ignore"):
         product = reduce(np.kron, inverses)
     if not np.isfinite(product).all():
-        raise NotInvertibleError(_W_OVERFLOW)
+        raise NotInvertibleError("the tensor product of the pair inverses leaves the float range")
     return product
 
 

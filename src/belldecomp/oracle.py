@@ -46,11 +46,12 @@ from .protocol import (
     _chunk_frames,
     _chunk_rows,
     _fidelity_rows,
+    _instance,
     _non_invertible_pairs,
     _normalize_rows,
     _outcome_chunks,
 )
-from .tensor import DEFAULT_EQ_TOL, StateVector
+from .tensor import DEFAULT_EQ_TOL, StateVector, _of_type
 
 __all__ = [
     "ORACLE_CAP",
@@ -99,7 +100,7 @@ def _check_cap(n: int) -> None:
 
 def joint_state(inst: TeleportationInstance) -> StateVector:
     """Full 3N-qubit product state: input qubits 1..N, then each pair's two qubits."""
-    n = inst.num_qubits
+    n = _of_type(inst, TeleportationInstance, "inst must be a TeleportationInstance").num_qubits
     _check_cap(n)
     amps = inst.input_state.amps
     for pair in inst.channel.pairs:
@@ -221,11 +222,11 @@ class VerificationReport:
     summed left to right in outcome order; ``reconstruction`` the largest
     |sum_r |Bell_r> (x) sqrt(p_r) c_r - S| for the normalized collapsed
     states c_r, NaN when any term is; ``min_fidelity`` the smallest recovery
-    fidelity of an outcome of positive probability, NaN when not computed.
-    Recovery is skipped when ``non_invertible`` names pairs of |det| at or
-    below ``tol_inv``, and fails on ``recovery_overflow``: W, the tensor
-    product of the pair inverses, leaves the float range.  ``verdicts`` pairs
-    each check's name with PASS, FAIL or SKIP; ``passed`` is False on a FAIL.
+    fidelity over the outcomes of positive probability, NaN when not
+    computed and NaN, failing the check, when any of them has a recovery
+    the floats cannot hold.  Recovery is skipped when ``non_invertible``
+    names pairs of |det| at or below ``tol_inv``.  ``verdicts`` pairs each
+    check's name with PASS, FAIL or SKIP; ``passed`` is False on a FAIL.
     """
 
     oracle: CrossCheckReport
@@ -233,7 +234,6 @@ class VerificationReport:
     reconstruction: float
     min_fidelity: float
     non_invertible: tuple[int, ...]
-    recovery_overflow: bool
     verdicts: tuple[tuple[str, str], ...]
     passed: bool
 
@@ -276,16 +276,17 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
     its rows: the largest |R - c| and its first flat argmax, through one
     complex and one float chunk buffer.  A later chunk must be strictly
     larger, and the first NaN stands.  Given ``tol_inv``, the rows are then
-    normalized in place, their probabilities summed left to right, their
-    fidelities minimized past NaN (zero probability), and sqrt(p) c - R
-    overwrites R's rows; R then turns back into U^T P - S.
+    normalized in place, their probabilities summed left to right, the
+    fidelities of rows of positive probability minimized with NaN carried
+    through, and sqrt(p) c - R overwrites R's rows; R then turns back into
+    U^T P - S.
     """
     tol_eq = _valid_tol(tol_eq)
+    _instance(inst)
     verify = bool(tol_inv)
     bad = _non_invertible_pairs(inst, *tol_inv) if verify else ()
     state = _residual_state(inst)
-    overflow = verify and not bad and inst._recovery_matrix is None
-    recovery = verify and not (bad or overflow)
+    recovery = verify and not bad
     n = inst.num_qubits
     residuals = state.reshape(4**n, -1)
     # Recovery reads the table's chunks; the comparison alone takes smaller ones.
@@ -294,7 +295,7 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
     magnitudes = np.empty(scratch.shape)
     frames = _chunk_frames(inst.input_state.amps.conj()) if recovery else None
     max_diff, worst = -1.0, 0
-    total, min_fidelity = 0.0, math.nan
+    total, min_fidelity = 0.0, math.inf if recovery else math.nan
     for rows, predicted in _outcome_chunks(inst, None, pairs):
         r = residuals[rows]
         np.abs(np.subtract(r, predicted, out=scratch), out=magnitudes)
@@ -308,7 +309,7 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
         total = sum(probs.tolist(), total)
         if recovery:
             fids = _fidelity_rows(inst, predicted, next(frames)[1], scratch)
-            min_fidelity = float(np.fmin.reduce(fids, initial=min_fidelity))
+            min_fidelity = float(np.minimum.reduce(fids[probs > 0.0], initial=min_fidelity))
         np.multiply(predicted, np.sqrt(probs)[:, None], out=scratch)
         np.subtract(scratch, r, out=r)
     oracle = CrossCheckReport(
@@ -342,7 +343,6 @@ def _oracle_pass(inst: TeleportationInstance, tol_eq: float, *tol_inv: float):
         reconstruction=reconstruction,
         min_fidelity=min_fidelity,
         non_invertible=bad,
-        recovery_overflow=overflow,
         verdicts=verdicts,
         passed=all(v != "FAIL" for _, v in verdicts),
     )

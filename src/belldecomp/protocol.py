@@ -14,7 +14,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -26,14 +26,13 @@ from .decomposition import (
     NotInvertibleError,
     PairingConvention,
     _coefficient_matrix,
-    _inverse_product,
     _invertible,
     inverse_pair_blocks,
     is_proportional_to_unitary,
     pair_blocks,
     validate_outcome,
 )
-from .tensor import StateVector, _integer, _unit, fidelity
+from .tensor import StateVector, _integer, _of_type, _unit, fidelity
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -91,12 +90,8 @@ class TeleportationInstance:
     convention: PairingConvention
 
     def __post_init__(self) -> None:
-        if not isinstance(self.input_state, StateVector):
-            raise ValueError(
-                f"input_state must be a StateVector, got {type(self.input_state).__name__}"
-            )
-        if not isinstance(self.channel, Channel):
-            raise ValueError(f"channel must be a Channel, got {type(self.channel).__name__}")
+        _of_type(self.input_state, StateVector, "input_state must be a StateVector")
+        _of_type(self.channel, Channel, "channel must be a Channel")
         if not isinstance(self.convention, PairingConvention):
             raise ValueError(f"convention must be a PairingConvention, got {self.convention!r}")
         if self.input_state.num_qubits != len(self.channel.pairs):
@@ -149,19 +144,22 @@ class TeleportationInstance:
         return _copy_as(np.stack(stacks), (0, 1, 3, 2))[..., None]
 
     @cached_property
-    def _recovery_matrix(self) -> np.ndarray | None:
+    def _recovery_matrix(self) -> np.ndarray:
         """W^T, where W = M_1^-1 (x) ... (x) M_N^-1 is every outcome's shared inverse
-        in ``_fidelity_rows``: 16 * 4^N bytes, 1 MiB at N = 8; None past the float range.
+        in ``_fidelity_rows``: 16 * 4^N bytes, 1 MiB at N = 8.  Entries past the
+        float range are kept as inf or NaN; the rows they reach come out NaN.
 
         Built from ``_inverse_step_blocks``, so only once a caller's
         invertibility check has passed.  The M_i^-1 are copied C-ordered, so
         W^T is Fortran-ordered at N = 1 too.
         """
         inverses = _copy_as(self._inverse_step_blocks[:, 0, :, :, 0], (0, 2, 1))
-        try:
-            return _read_only(_inverse_product(inverses).T)
-        except NotInvertibleError:
-            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _read_only(reduce(np.kron, inverses).T)
+
+
+def _instance(inst) -> TeleportationInstance:
+    return _of_type(inst, TeleportationInstance, "inst must be a TeleportationInstance")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -276,7 +274,7 @@ def collapsed_state(inst: TeleportationInstance, outcome: Sequence[int]) -> Stat
     input amplitudes; its squared norm is the Born probability of the outcome.
     Row k of the chunks ``_outcome_chunks`` yields is this for the k-th outcome.
     """
-    n = inst.num_qubits
+    n = _instance(inst).num_qubits
     out = validate_outcome(outcome, n)
     steps = map(_result_step, inst._coefficients, out)
     amps = _contract_outcome(steps, inst.input_state.amps * math.sqrt(0.5) ** n)
@@ -307,8 +305,9 @@ def recover(
     at any magnitude; they raise ValueError when one is not finite or all
     are zero.
     """
-    n = inst.num_qubits
+    n = _instance(inst).num_qubits
     out = validate_outcome(outcome, n)
+    _of_type(collapsed, StateVector, "collapsed must be a StateVector")
     if collapsed.num_qubits != n:
         raise ValueError(f"collapsed state has {collapsed.num_qubits} qubit(s), expected {n}")
     bad = _non_invertible_pairs(inst, tol)
@@ -358,8 +357,7 @@ def channel_criterion(channel: Channel, tol: float = DEFAULT_INVERTIBILITY_TOL) 
     convention, so the unitary-proportionality flag is computed once per
     pair from its coefficient matrix.  ``tol`` must be a finite number >= 0.
     """
-    if not isinstance(channel, Channel):
-        raise ValueError(f"channel must be a Channel, got {type(channel).__name__}")
+    _of_type(channel, Channel, "channel must be a Channel")
     diags = []
     for i, p in enumerate(channel.pairs, start=1):
         _check_unit_norm(p.squared_norm(), f"channel pair {i}")
@@ -385,7 +383,8 @@ class OutcomeRecord:
 
     ``collapsed`` is normalized when the probability is positive and the zero
     vector otherwise; ``recovered_fidelity`` is None instead of NaN when the
-    outcome has zero probability or the channel is not invertible.
+    outcome has zero probability, the channel is not invertible, or the
+    outcome's recovery has no float value.
     """
 
     outcome: BellOutcome
@@ -576,23 +575,25 @@ def _fidelity_rows(
     and Sigma_r, the tensor product of the sigma_{r_i}, is a real signed
     permutation.  So Sigma_r^-1 W c_r has the overlap with x and the norm
     that W c_r has with Sigma_r x: one product with W^T serves the chunk,
-    each row read in its outcome's frame.  Rows of zero norm give NaN.  The
-    caller has checked that the pairs are invertible and W finite.
+    each row read in its outcome's frame.  The caller has checked that the
+    pairs are invertible.  A row is NaN where its recovery has no float
+    value: where on + off, below, is not finite, as when W holds inf, and
+    where W c_r rounds to 0, as for a zero row, which gives 0 / 0.
     """
     x2 = inst.input_state.squared_norm()
     flat = z.view(np.float64)
-    np.matmul(collapsed, inst._recovery_matrix, out=z)
-    overlap = np.einsum("ij,ij->i", framed, z)
-    # F = on / (on + off): on and off are the squared norms of the parts of
-    # Z along and off Sigma_r x.  Taking off from the residual keeps 1 - F
-    # accurate when F is near 1, where |overlap|^2 / |Z|^2 loses it.
-    on = (overlap.real**2 + overlap.imag**2) / x2
-    np.conjugate(z, out=z)
-    framed *= (overlap.conj() / x2)[:, None]
-    z -= framed
-    off = np.einsum("ij,ij->i", flat, flat)
-    with np.errstate(invalid="ignore"):
-        return on / (on + off)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(collapsed, inst._recovery_matrix, out=z)
+        overlap = np.einsum("ij,ij->i", framed, z)
+        # F = on / (on + off): on and off are the squared norms of the parts of
+        # Z along and off Sigma_r x.  Taking off from the residual keeps 1 - F
+        # accurate when F is near 1, where |overlap|^2 / |Z|^2 loses it.
+        on = (overlap.real**2 + overlap.imag**2) / x2
+        np.conjugate(z, out=z)
+        framed *= (overlap.conj() / x2)[:, None]
+        z -= framed
+        total = on + np.einsum("ij,ij->i", flat, flat)
+        return np.where(np.isfinite(total), on / total, np.nan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,8 +603,9 @@ class OutcomeTable(Sequence[OutcomeRecord]):
     Row k of every array is the k-th outcome in lexicographic order of the
     per-pair results.  ``collapsed`` (4^N, 2^N) holds the normalized collapsed
     states, with zero rows where the probability is 0.  ``fidelities`` is NaN
-    where recovery is undefined: zero probability, a non-invertible channel,
-    a recovery transform past the float range, or recovery not computed.
+    where recovery has no value: zero probability, a non-invertible channel,
+    recovery not computed, or a recovery the floats cannot hold, as
+    ``_fidelity_rows`` decides.
     As a sequence it yields one ``OutcomeRecord`` per row, built on demand;
     indices are integers, negative ones included.
     """
@@ -658,7 +660,7 @@ def enumerate_outcomes(
     ``tol`` must be a finite number >= 0, or ValueError is raised before any
     state is built.
     """
-    n = inst.num_qubits
+    n = _instance(inst).num_qubits
     invertible = not _non_invertible_pairs(inst, tol)
     if n > ENUMERATION_CAP:
         raise ValueError(
@@ -668,7 +670,7 @@ def enumerate_outcomes(
     probs, fids = np.empty(4**n), np.full(4**n, np.nan)
     for rows, chunk in _outcome_chunks(inst, table, _TABLE_PAIRS):
         probs[rows] = _normalize_rows(chunk)
-    if compute_recovery and invertible and inst._recovery_matrix is not None:
+    if compute_recovery and invertible:
         z = np.empty((_chunk_rows(n, _TABLE_PAIRS), 1 << n), dtype=np.complex128)
         for rows, framed in _chunk_frames(inst.input_state.amps.conj()):
             fids[rows] = _fidelity_rows(inst, table[rows], framed, z)
@@ -714,7 +716,7 @@ def sample_outcome(inst: TeleportationInstance, seed: int) -> BellOutcome:
     outcomes are never produced.
     """
     seed = _valid_seed(seed)
-    n = inst.num_qubits
+    n = _instance(inst).num_qubits
     if n > ENUMERATION_CAP:
         raise ValueError(
             f"refusing to sample {n}-qubit outcomes (cap is {ENUMERATION_CAP} qubits)"

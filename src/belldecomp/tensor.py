@@ -41,6 +41,13 @@ def _integer(x, what: str, low: float = -math.inf, high: float = math.inf) -> in
     return operator.index(x)
 
 
+def _of_type(value, cls: type, what: str):
+    """``value`` when it is a ``cls``; otherwise raises ValueError("<what>, got <its type>")."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{what}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of ``num_qubits`` qubits as a flat array of 2**num_qubits amplitudes.

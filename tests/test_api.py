@@ -1,11 +1,16 @@
-"""The package surface: the exported names, no private helper left unused, and an oracle
-that computes its side of the cross check without the block code."""
+"""The package surface: the exported names, the refusal of an argument of the wrong type,
+no private helper left unused, and an oracle that computes its side of the cross check
+without the block code."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import belldecomp
+from belldecomp import PairingConvention
 
 MODULES = ["channel", "cli", "decomposition", "oracle", "protocol", "tensor"]
 
@@ -58,6 +63,42 @@ def test_star_import_binds_exactly_the_package_api():
     exec("from belldecomp import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(belldecomp.__all__)
     assert all(namespace[name] is getattr(belldecomp, name) for name in belldecomp.__all__)
+
+
+_INST = belldecomp.random_instance(1, np.random.default_rng(0), PairingConvention.BOB_HOLDS_SECOND)
+_CHANNEL, _CONV = _INST.channel, _INST.convention
+_PAIR = "pair must be an EntangledPair, got Channel"
+_INSTANCE = "inst must be a TeleportationInstance, got Channel"
+
+# A Channel passed for a pair or an instance, and an instance for a collapsed state:
+# each call and the refusal it must raise.
+WRONG_TYPES = {
+    "sub_matrix": (lambda: belldecomp.sub_matrix(_CHANNEL, 1, _CONV), _PAIR),
+    "inverse_sub_matrix": (lambda: belldecomp.inverse_sub_matrix(_CHANNEL, 1, _CONV), _PAIR),
+    "pair_determinant": (lambda: belldecomp.pair_determinant(_CHANNEL), _PAIR),
+    "collapsed_state": (lambda: belldecomp.collapsed_state(_CHANNEL, (1,)), _INSTANCE),
+    "recover": (
+        lambda: belldecomp.recover(belldecomp.collapsed_state(_INST, (1,)), _CHANNEL, (1,)),
+        _INSTANCE,
+    ),
+    "enumerate_outcomes": (lambda: belldecomp.enumerate_outcomes(_CHANNEL), _INSTANCE),
+    "sample_outcome": (lambda: belldecomp.sample_outcome(_CHANNEL, 0), _INSTANCE),
+    "cross_check": (lambda: belldecomp.cross_check(_CHANNEL), _INSTANCE),
+    "verify_instance": (lambda: belldecomp.verify_instance(_CHANNEL), _INSTANCE),
+    "joint_state": (lambda: belldecomp.joint_state(_CHANNEL), _INSTANCE),
+    "recover-collapsed": (
+        lambda: belldecomp.recover(_INST, _INST, (1,)),
+        "collapsed must be a StateVector, got TeleportationInstance",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WRONG_TYPES))
+def test_an_argument_of_the_wrong_type_is_refused(name):
+    """Each raised AttributeError on an attribute the argument lacks."""
+    call, message = WRONG_TYPES[name]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_module_path_names_stay_out_of_the_package():

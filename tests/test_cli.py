@@ -526,6 +526,11 @@ class TestVerify:
 TINY = [1e-160 + 0j, 0j, 0j, 1 + 0j]
 SUBNORMAL = [1 + 0j, 0j, 0j, 1e-309 + 0j]
 
+RECOVERY_WITHOUT_FLOAT_VALUE = (
+    "check recovery-fidelity: FAIL "
+    "(recovery has no float value for an outcome of positive probability)"
+)
+
 
 class TestInversesPastTheFloatRange:
     """Each ran into numpy's overflow warnings and printed inf or NaN figures."""
@@ -554,8 +559,21 @@ class TestInversesPastTheFloatRange:
         code, out, _ = self.run(capsys, ["verify", "--state", state, "--channel", channel, "--tol-inv=0"])
         lines = out.splitlines()
         assert code == 1 and lines[-1] == "result: FAIL"
-        assert "check recovery-fidelity: FAIL (the tensor product of the pair inverses leaves the float range)" in lines
+        assert RECOVERY_WITHOUT_FLOAT_VALUE in lines
         assert sum(line.startswith("check ") and ": PASS (" in line for line in lines) == 3
+
+    @pytest.mark.parametrize("convention", ["bob-holds-first", "bob-holds-second"])
+    def test_verify_fails_a_recovery_that_rounds_away(self, capsys, tmp_path, convention):
+        """Two pairs of |det| 2^-440 (3.5e-133): W is finite, its largest entry 8.1e264,
+        but the recovered rows have no float value.  verify printed
+        ``min fidelity = nan``."""
+        y = np.array([1, 2.0**-200, 2.0**-200, 2.0**-400 + 2.0**-440], dtype=complex)
+        state = write_state(tmp_path / "s.json", 2, [0.5 + 0j] * 4)
+        channel = write_channel(tmp_path / "c.json", [y / np.linalg.norm(y)] * 2)
+        argv = ["verify", "--state", state, "--channel", channel, "--tol-inv=0", "--convention", convention]
+        code, out, _ = self.run(capsys, argv)
+        assert code == 1 and "nan" not in out
+        assert RECOVERY_WITHOUT_FLOAT_VALUE in out.splitlines()
 
     def test_decompose_reports_no_inverse(self, capsys, tiny):
         _, channel = tiny

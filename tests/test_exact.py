@@ -21,6 +21,7 @@ from belldecomp import (
     PairingConvention,
     StateVector,
     TeleportationInstance,
+    collapsed_state,
     enumerate_outcomes,
 )
 
@@ -130,6 +131,13 @@ def exact_outcomes(n: int, conv: PairingConvention):
         yield v, magnitude
 
 
+def amplitude_error(n: int) -> Fraction:
+    """g: the computed amplitudes are within g times the sum of their terms'
+    magnitudes of the exact ones, as derived below."""
+    rho = Fraction(math.sqrt(0.5) ** n) ** 2 * 2**n
+    return (1 + abs(rho - 1)) * (1 + Fraction(9, 4) * U) ** (n + 1) * (1 + U) ** n - 1
+
+
 @pytest.mark.parametrize("conv", [BHF, BHS])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_probabilities_are_the_exact_ones_to_rounding(n, conv):
@@ -154,8 +162,7 @@ def test_table_probabilities_are_the_exact_ones_to_rounding(n, conv):
     """
     inst = dyadic_instance(n, conv)
     probabilities = enumerate_outcomes(inst).probabilities
-    rho = Fraction(math.sqrt(0.5) ** n) ** 2 * 2**n
-    g = (1 + abs(rho - 1)) * (1 + Fraction(9, 4) * U) ** (n + 1) * (1 + U) ** n - 1
+    g = amplitude_error(n)
     h = (1 + U) ** (2 ** (n + 1)) - 1
     total = Fraction(0)
     for computed, (v, magnitude) in zip(probabilities.tolist(), exact_outcomes(n, conv)):
@@ -164,3 +171,35 @@ def test_table_probabilities_are_the_exact_ones_to_rounding(n, conv):
         assert abs(Fraction(computed) - p) <= e + h * (p + e)
         total += p
     assert total == 1
+
+
+@pytest.mark.parametrize("conv", [BHF, BHS])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collapsed_states_are_the_exact_ones_to_rounding(n, conv):
+    """Every amplitude of ``collapsed_state(inst, r)``, for every outcome r, is within
+    g A_j of the exact c_j = 2^(-N/2) v_j.
+
+    ``collapsed_state`` takes the table's steps on a single row: it scales the
+    input by the float s = fl(fl(sqrt(1/2))^N), then per pair forms two complex
+    products by entries of M and adds or subtracts them.  s is rounded for every
+    N, odd N included, where 2^(-N/2) is irrational: s = 2^(-N/2) (1 + e) with
+    |e| <= |rho - 1|, as in the test above.  A real times complex product errs by
+    at most u relative and a complex one by sqrt5 u <= 9u/4, an add by u.  So the
+    computed c'_j sums the 2^N terms 2^(-N/2) x[a] prod_i B_i[j_i, a_i], each
+    carried through N + 1 products and N adds and the factor 1 + e, and
+    |c'_j - c_j| <= g A_j, with g of ``amplitude_error`` and A_j = 2^(-N/2) L_j
+    for the L1 figure L_j of ``exact_outcomes``.  The check is exact for a
+    rational q = floor(2^(P - N/2)) / 2^P, so q <= 2^(-N/2) < q + 2^-P at P = 200:
+    it asserts |c'_j - q v_j| + 2^-P |v_j|_1 <= g (q + 2^-P) L_j, which implies
+    the bound with 2^(-N/2) raised by less than 2^-200.
+    """
+    inst = dyadic_instance(n, conv)
+    g, eta = amplitude_error(n), Fraction(1, 2**200)
+    q = Fraction(math.isqrt(2 ** (400 - n)), 2**200)
+    outcomes = itertools.product((1, 2, 3, 4), repeat=n)
+    for outcome, (v, magnitude) in zip(outcomes, exact_outcomes(n, conv)):
+        computed = collapsed_state(inst, outcome).amps.tolist()
+        for c, z, m in zip(computed, v, magnitude):
+            d = Gaussian(Fraction(c.real) - q * z.re, Fraction(c.imag) - q * z.im)
+            bound = g * (q + eta) * m - eta * z.l1()
+            assert bound >= 0 and d.norm2() <= bound**2

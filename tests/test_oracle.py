@@ -77,6 +77,15 @@ class TestJointState:
                 build(inst)
 
 
+def exact_det_pair(k: int, m: int) -> EntangledPair:
+    """(1, a, a, a^2 + d) over its norm, for a = 2^-k and d = 2^-m: |det| is d over the
+    squared norm.  For m - 2k in 1..52 the sum a^2 + d is exact, and for k >= 28 the
+    norm rounds to 1, so the pair holds exactly these values."""
+    a, d = 2.0**-k, 2.0**-m
+    y = np.array([1, a, a, a * a + d], dtype=complex)
+    return EntangledPair(y / np.linalg.norm(y))
+
+
 def with_product_pair(inst: TeleportationInstance) -> TeleportationInstance:
     """``inst`` with its last pair replaced by the product state |00>."""
     pairs = inst.channel.pairs[:-1] + (EntangledPair(np.eye(4)[0]),)
@@ -664,7 +673,7 @@ class TestVerifyInstance:
             ("reconstruction", "PASS"),
             ("recovery-fidelity", "PASS"),
         )
-        assert report.passed and not report.recovery_overflow
+        assert report.passed and not np.isnan(report.min_fidelity) and report.non_invertible == ()
         strict = verify_instance(inst, tol_eq=0.0)
         assert not strict.passed and ("oracle-equivalence", "FAIL") in strict.verdicts
 
@@ -681,6 +690,27 @@ class TestVerifyInstance:
             StateVector(2, np.full(4, 0.5, dtype=complex)), Channel((pair, pair)), BHS
         )
         report = verify_instance(inst, tol_inv=0.0)
-        assert report.recovery_overflow and report.non_invertible == ()
+        assert np.isnan(report.min_fidelity) and report.non_invertible == ()
         assert report.verdicts[-1] == ("recovery-fidelity", "FAIL") and not report.passed
         assert np.isnan(enumerate_outcomes(inst, tol=0.0).fidelities).all()
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_a_few_outcomes_past_the_float_range_fail_recovery(self, conv):
+        """Pairs of |det| 2^-280, 2^-70 and 2^-70 at tol_inv = 0: W is finite, but a few
+        outcomes of positive probability recover to NaN.  The minimum was taken over the
+        other outcomes and read 0.000942, 62 of 64 here."""
+        pairs = tuple(exact_det_pair(k, m) for k, m in ((120, 280), (30, 70), (30, 70)))
+        inst = TeleportationInstance(random_state(3, np.random.default_rng(0)), Channel(pairs), conv)
+        table = enumerate_outcomes(inst, tol=0.0)
+        assert np.isnan(table.fidelities[table.probabilities > 0.0]).any()
+        report = verify_instance(inst, tol_inv=0.0)
+        assert np.isnan(report.min_fidelity) and report.non_invertible == ()
+        assert report.verdicts[-1] == ("recovery-fidelity", "FAIL") and not report.passed
+
+    @pytest.mark.parametrize("conv", [BHF, BHS])
+    def test_one_pair_of_det_1e_minus_160_still_recovers(self, conv):
+        """M^-1 holds 1e160, inside the float range, and so does W at N = 1."""
+        pair = EntangledPair(np.array([1e-160, 0, 0, 1], dtype=complex))
+        inst = TeleportationInstance(StateVector(1, [0.6, 0.8j]), Channel((pair,)), conv)
+        report = verify_instance(inst, tol_inv=0.0)
+        assert report.min_fidelity == 1.0 and report.passed

@@ -2,11 +2,16 @@
 probabilities and oracle agreement on normalized instances with near-singular pairs, the
 one ``verify_instance`` pass against the separate calls on them, one
 verdict on invertibility for a pair exactly at the tolerance, the table's recovery
-fidelities against ``recover``'s, and the pair-by-pair draw against the inverse cumulative
-distribution over all outcomes."""
+fidelities against ``recover``'s, a NaN fidelity failing verify across conditioning, and the
+pair-by-pair draw against the inverse cumulative distribution over all outcomes."""
 
+import contextlib
+import io
 import itertools
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +19,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cli import write_channel, write_state
 from test_oracle import (
     COMPLEX_BRAS,
     assert_one_pass_is_the_separate_calls,
     complex_project,
+    exact_det_pair,
     with_phased_input,
 )
 from test_protocol import InverseCdf, pair_with_abs_det
@@ -42,7 +49,9 @@ from belldecomp import (
     recover,
     sample_outcome,
     sub_matrix,
+    verify_instance,
 )
+from belldecomp import cli
 from belldecomp.decomposition import SIGMA, inverse_pair_blocks, inverse_sub_matrix, pair_blocks
 from belldecomp.oracle import _residual_state
 
@@ -318,6 +327,54 @@ def test_table_fidelities_are_those_of_recover(inst):
             continue
         _, fid = recover(collapsed, inst, out)
         assert abs(table.fidelities[k] - fid) <= 1e-12
+
+
+@st.composite
+def exact_det_instances(draw):
+    """Instances of 1 to 3 qubits through pairs ``exact_det_pair(k, 2k + j)``, k in 0..300
+    and j in 1..52: |det| from about 2^-3 down to 2^-652, each M^-1 finite, and their
+    product W past the float range on some draws."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    conv = draw(conventions)
+    ks = draw(st.lists(st.integers(min_value=0, max_value=300), min_size=n, max_size=n))
+    js = draw(st.lists(st.integers(min_value=1, max_value=52), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = tuple(exact_det_pair(k, 2 * k + j) for k, j in zip(ks, js))
+    return TeleportationInstance(random_state(n, rng), Channel(pairs), conv)
+
+
+def cli_verify(inst: TeleportationInstance) -> tuple[int, str]:
+    """CLI verify at --tol-inv 0 of the instance, written to JSON: exit code and stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        state = write_state(Path(tmp, "s.json"), inst.num_qubits, inst.input_state.amps.tolist())
+        channel = write_channel(Path(tmp, "c.json"), [p.y.tolist() for p in inst.channel.pairs])
+        argv = ["verify", "--state", state, "--channel", channel, "--tol-inv", "0"]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv + ["--convention", inst.convention.value])
+    return code, out.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_det_instances())
+def test_a_recovery_without_a_float_value_fails_verify(inst):
+    """At tol_inv = 0: when the table gives an outcome of positive probability a NaN
+    fidelity, ``verify_instance``'s minimum fidelity is NaN and its recovery check
+    fails; otherwise the minimum is the table's.  CLI verify never prints nan, and no
+    step raises a warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = enumerate_outcomes(inst, tol=0.0)
+        report = verify_instance(inst, tol_inv=0.0)
+        code, out = cli_verify(inst)
+    assert [str(w.message) for w in caught] == []
+    positive = table.fidelities[table.probabilities > 0.0]
+    if table.invertible and np.isnan(positive).any():
+        assert np.isnan(report.min_fidelity)
+        assert report.verdicts[-1] == ("recovery-fidelity", "FAIL") and not report.passed
+    elif table.invertible:
+        assert report.min_fidelity == positive.min()
+    assert code in (0, 1) and "nan" not in out
 
 
 @st.composite
